@@ -26,7 +26,7 @@ from .instances import SQRT3, collinear_witness, check_witness_180, random_conne
 from .orient180 import RADIUS_180, orient_all_180
 from .orient90 import RADIUS_90, orient_all_90
 from .svgplot import render_scene
-from .topology import bounded_degree_mst, build_udg, is_connected
+from .topology import bounded_degree_mst
 from .verifier import build_comm_graph, min_strong_radius, tarjan_scc_count
 
 EXIT_OK = 0
@@ -118,9 +118,10 @@ def cmd_witness(args) -> int:
 def cmd_plot(args) -> int:
     points = read_points(args.input)
     assignment = read_orientation(args.orientation) if args.orientation else None
-    tree_edges = None
-    if is_connected(build_udg(points)) and len(points) > 1:
+    try:
         tree_edges = bounded_degree_mst(points).edges()
+    except DisconnectedInput:
+        tree_edges = None
     comm = None
     radius = args.radius
     if assignment is not None:

@@ -16,16 +16,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotGeneralPosition, SearchExhausted
-from .geometry import (
-    EPS,
-    Point,
-    QuadKind,
-    angle_diff,
-    classify_quad,
-    normalize_angle,
-)
+from .geometry import Point, QuadKind, classify_quad, normalize_angle
 from .orientation import OrientationAssignment
-from .verifier import covers_plane, is_strongly_connected_at
+from .verifier import (
+    _coverage_mask,
+    _masks_strongly_connected,
+    covers_plane,
+    is_strongly_connected_at,
+)
 
 QUARTER = 0.5 * math.pi
 
@@ -188,41 +186,10 @@ def _search_grid(pts: Sequence[Point]) -> List[float]:
     return sorted(grid)
 
 
-def _mask(pts: Sequence[Point], i: int, theta: float, r: float) -> int:
-    m = 0
-    for j in range(len(pts)):
-        if j == i:
-            continue
-        if pts[i].dist(pts[j]) <= r + EPS and angle_diff(
-            math.atan2(pts[j].y - pts[i].y, pts[j].x - pts[i].x), theta
-        ) <= 0.25 * math.pi + EPS:
-            m |= 1 << j
-    return m
-
-
 def _lattice_ok(ta: float, tb: float) -> bool:
     # four quarter arcs cover the circle only as an exact tiling, which pins
     # all bisectors to one lattice of pi/2 multiples
     return abs(math.remainder(ta - tb, QUARTER)) <= 1e-9
-
-
-def _strong4(masks: Sequence[int]) -> bool:
-    full = (1 << len(masks)) - 1
-    for s in range(len(masks)):
-        reach = 1 << s
-        while True:
-            nxt = reach
-            m = reach
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= masks[v]
-            if nxt == reach:
-                break
-            reach = nxt
-        if reach != full:
-            return False
-    return True
 
 
 def search_cover_orientation(points: Sequence[Point], r: float) -> Optional[Dict[int, float]]:
@@ -235,7 +202,7 @@ def search_cover_orientation(points: Sequence[Point], r: float) -> Optional[Dict
     """
     pts = sorted(points, key=lambda p: p.id)
     grid = _search_grid(pts)
-    masks = {(i, t): _mask(pts, i, t, r) for i in range(4) for t in grid}
+    masks = {(i, t): _coverage_mask(pts, i, t, QUARTER, r) for i in range(4) for t in grid}
 
     for t0 in grid:
         if masks[(0, t0)] == 0:
@@ -250,7 +217,7 @@ def search_cover_orientation(points: Sequence[Point], r: float) -> Optional[Dict
                     if masks[(3, t3)] == 0 or not _lattice_ok(t0, t3):
                         continue
                     combo = (t0, t1, t2, t3)
-                    if not _strong4([masks[(i, combo[i])] for i in range(4)]):
+                    if not _masks_strongly_connected([masks[(i, combo[i])] for i in range(4)], 4):
                         continue
                     theta = {pts[i].id: combo[i] for i in range(4)}
                     if _passes(pts, theta, r):

@@ -146,17 +146,6 @@ def project_onto_segment(q: Point, a: Point, b: Point) -> Tuple[float, bool]:
     return t, 0.0 <= t <= 1.0
 
 
-def segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
-    """True when the open segments properly cross (shared endpoints do not count)."""
-    if {a1.id, a2.id} & {b1.id, b2.id}:
-        return False
-    d1 = cross(a1.x, a1.y, a2.x, a2.y, b1.x, b1.y)
-    d2 = cross(a1.x, a1.y, a2.x, a2.y, b2.x, b2.y)
-    d3 = cross(b1.x, b1.y, b2.x, b2.y, a1.x, a1.y)
-    d4 = cross(b1.x, b1.y, b2.x, b2.y, a2.x, a2.y)
-    return d1 * d2 < 0.0 and d3 * d4 < 0.0
-
-
 def _point_in_triangle(q: Point, a: Point, b: Point, c: Point) -> bool:
     """Strict interior test via consistent cross-product signs."""
     s1 = cross(a.x, a.y, b.x, b.y, q.x, q.y)

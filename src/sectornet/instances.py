@@ -7,9 +7,9 @@ import random
 from dataclasses import dataclass
 from typing import FrozenSet, List
 
-from .geometry import EPS, Point, angle_diff
+from .geometry import EPS, Point
 from .topology import build_udg, is_connected
-from .verifier import candidate_bisectors
+from .verifier import _coverage_mask, candidate_bisectors
 
 SQRT3 = math.sqrt(3.0)
 
@@ -94,14 +94,9 @@ def check_witness_180(w: Witness180, r: float) -> bool:
 
     alpha = math.pi
     for theta in candidate_bisectors(pts, w.p_id, alpha):
-        covered = [
-            q.id
-            for q in pts
-            if q.id != p.id
-            and p.dist(q) <= r + EPS
-            and angle_diff(math.atan2(q.y - p.y, q.x - p.x), theta) <= 0.5 * alpha + EPS
-        ]
-        if len(covered) > 2 or any(c not in neighbors for c in covered):
+        mask = _coverage_mask(pts, w.p_id, theta, alpha, r)
+        covered = {q.id for j, q in enumerate(pts) if mask >> j & 1}
+        if len(covered) > 2 or not covered <= neighbors:
             return False
 
     for i in w.right_set:
@@ -138,5 +133,6 @@ def random_connected_udg(n: int, seed: int, box: float) -> List[Point]:
             continue
         coords.append((x, y))
     pts = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
-    assert is_connected(build_udg(pts))
+    if not is_connected(build_udg(pts)):
+        raise AssertionError("generated points do not form a connected unit disk graph")
     return pts

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConstructionInvariantViolated, DisconnectedInput, TooFewPoints
+from .errors import ConstructionInvariantViolated, TooFewPoints
 from .geometry import Point, cross, direction, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import RootedTree, bounded_degree_mst, build_udg, check_point_ids, is_connected
+from .topology import RootedTree, bounded_degree_mst, check_point_ids
 from .verifier import is_strongly_connected_at
 
 RADIUS_180 = 1.0 + math.sqrt(3.0)
@@ -184,13 +184,13 @@ def plan_groups_180(points: Sequence[Point], t: RootedTree) -> Tuple[List[Group1
 def orient_all_180(points: Sequence[Point]) -> OrientationAssignment:
     """Orient every antenna (aperture 180 degrees) for strong connectivity at
     radius 1 + sqrt(3); the result is re-verified and a failure raises
-    ConstructionInvariantViolated rather than returning silently."""
+    ConstructionInvariantViolated rather than returning silently.
+
+    DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
+    decides the unit disk graph precondition."""
     check_point_ids(points)
     if len(points) < 2:
         raise TooFewPoints("need at least 2 points")
-    udg = build_udg(points)
-    if not is_connected(udg):
-        raise DisconnectedInput("unit disk graph is not connected")
     tree = bounded_degree_mst(points)
     groups, theta = plan_groups_180(points, tree)
     assignment = OrientationAssignment(

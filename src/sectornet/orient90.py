@@ -16,16 +16,11 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import (
-    ConstructionInvariantViolated,
-    DisconnectedInput,
-    TooFewPoints,
-    TooManyPoints,
-)
+from .errors import ConstructionInvariantViolated, TooFewPoints, TooManyPoints
 from .fourpoint import orient_four, search_cover_orientation
 from .geometry import Point, QuadKind, TAU, classify_quad, collinear, direction, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import RootedTree, bounded_degree_mst, build_udg, check_point_ids, is_connected
+from .topology import RootedTree, bounded_degree_mst, check_point_ids
 from .verifier import is_strongly_connected_at
 
 RADIUS_90 = 7.0
@@ -60,15 +55,17 @@ def orient_small(points: Sequence[Point]) -> OrientationAssignment:
     """Two points aim at each other; for three, the two sharpest corners get
     wedges containing the whole triangle and the third aims at its nearer
     companion. Strongly connected at radius 2 (max pairwise distance <= 2
-    when the unit disk graph is connected)."""
+    when the unit disk graph is connected).
+
+    DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
+    decides the unit disk graph precondition."""
     check_point_ids(points)
     n = len(points)
     if n > 3:
         raise TooManyPoints("orient_small handles at most 3 points")
     if n < 2:
         raise TooFewPoints("need at least 2 points")
-    if not is_connected(build_udg(points)):
-        raise DisconnectedInput("unit disk graph is not connected")
+    bounded_degree_mst(points)
     pts = sorted(points, key=lambda p: p.id)
     theta: Dict[int, float] = {}
     if n == 2:
@@ -207,7 +204,8 @@ def choose_representatives(
 
 def _line_thetas(pts: Sequence[Point]) -> Dict[int, float]:
     """Fallback for a fully collinear group: sort along the line and alternate
-    facing direction, so neighbors relay messages both ways at hops <= 2."""
+    facing direction, so neighbors relay messages both ways at hops <= 2.
+    The last point always faces back: facing forward it would cover no one."""
     far = max(
         ((a, b) for a in pts for b in pts if a.id < b.id),
         key=lambda ab: (ab[0].dist(ab[1]), -ab[0].id, -ab[1].id),
@@ -218,8 +216,9 @@ def _line_thetas(pts: Sequence[Point]) -> Dict[int, float]:
     phi = direction(u, v)
     ux, uy = math.cos(phi), math.sin(phi)
     ordered = sorted(pts, key=lambda p: (p.x * ux + p.y * uy, p.id))
+    last = len(ordered) - 1
     return {
-        p.id: phi if k % 2 == 0 else normalize_angle(phi + math.pi)
+        p.id: phi if k % 2 == 0 and k < last else normalize_angle(phi + math.pi)
         for k, p in enumerate(ordered)
     }
 
@@ -249,12 +248,14 @@ def _general_position_reps(
 
 def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
     """Orient every antenna (aperture 90 degrees); verified strongly connected
-    at radius 7, raising ConstructionInvariantViolated otherwise."""
+    at radius 7, raising ConstructionInvariantViolated otherwise.
+
+    DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
+    decides the unit disk graph precondition (via orient_small for two or
+    three points)."""
     check_point_ids(points)
     if len(points) < 2:
         raise TooFewPoints("need at least 2 points")
-    if not is_connected(build_udg(points)):
-        raise DisconnectedInput("unit disk graph is not connected")
     if len(points) <= 3:
         return orient_small(points)
 

@@ -76,6 +76,12 @@ def as_coords(points: Sequence[Point]) -> np.ndarray:
     return np.array([(p.x, p.y) for p in points], dtype=float)
 
 
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """n x n Euclidean distance matrix of an (n, 2) coordinate array."""
+    d = coords[:, None, :] - coords[None, :, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
 def check_point_ids(points: Sequence[Point]) -> None:
     ids = sorted(p.id for p in points)
     if ids != list(range(len(points))):
@@ -85,28 +91,30 @@ def check_point_ids(points: Sequence[Point]) -> None:
             raise ValueError(f"point {p.id} has non-finite coordinates")
 
 
-def _dist_matrix(points: Sequence[Point]) -> np.ndarray:
-    c = as_coords(points)
-    d = c[:, None, :] - c[None, :, :]
-    return np.hypot(d[..., 0], d[..., 1])
+def _distinct_points(points: Sequence[Point]) -> Tuple[List[Point], np.ndarray]:
+    """Points sorted by id and their distance matrix.
+
+    Raises ValueError on bad ids or coordinates, TooFewPoints on an empty
+    input and DuplicatePoint when two points coincide within EPS.
+    """
+    check_point_ids(points)
+    if len(points) < 1:
+        raise TooFewPoints("need at least one point")
+    pts = sorted(points, key=lambda p: p.id)
+    dist = pairwise_distances(as_coords(pts))
+    close = np.argwhere(np.triu(dist <= EPS, k=1))
+    if len(close):
+        i, j = close[0]
+        raise DuplicatePoint(f"points {i} and {j} coincide within {EPS}")
+    return pts, dist
 
 
 def build_udg(points: Sequence[Point]) -> Udg:
     """Edges join id pairs within unit distance; duplicates are rejected."""
-    if len(points) < 1:
-        raise TooFewPoints("need at least one point")
-    check_point_ids(points)
-    pts = sorted(points, key=lambda p: p.id)
-    dist = _dist_matrix(pts)
-    n = len(pts)
-    iu, ju = np.triu_indices(n, k=1)
-    close = dist[iu, ju] <= EPS
-    if close.any():
-        k = int(np.argmax(close))
-        raise DuplicatePoint(f"points {iu[k]} and {ju[k]} coincide within {EPS}")
-    within = dist[iu, ju] <= 1.0 + EPS
-    edges = frozenset((int(i), int(j)) for i, j in zip(iu[within], ju[within]))
-    return Udg(n=n, edges=edges)
+    pts, dist = _distinct_points(points)
+    iu, ju = np.nonzero(np.triu(dist <= 1.0 + EPS, k=1))
+    edges = frozenset((int(i), int(j)) for i, j in zip(iu, ju))
+    return Udg(n=len(pts), edges=edges)
 
 
 def is_connected(g: Udg) -> bool:
@@ -225,22 +233,15 @@ def _repair_degree(
 def bounded_degree_mst(points: Sequence[Point]) -> RootedTree:
     """Euclidean MST with max degree 5, rooted at a highest point (ties: smallest id).
 
-    Raises DisconnectedInput when the unit disk graph is not connected. Total
-    edge length equals the unconstrained Euclidean MST length.
+    This is where the constructions validate their input: raises ValueError
+    on bad ids or coordinates, DuplicatePoint when two points coincide, and
+    DisconnectedInput when the unit disk graph is not connected. Total edge
+    length equals the unconstrained Euclidean MST length.
     """
-    check_point_ids(points)
-    pts = sorted(points, key=lambda p: p.id)
+    pts, dist = _distinct_points(points)
     n = len(pts)
-    if n == 0:
-        raise TooFewPoints("need at least one point")
-    dist = _dist_matrix(pts)
     if n == 1:
         return RootedTree(root=0, parent={0: 0}, children={0: []})
-    iu, ju = np.triu_indices(n, k=1)
-    close = dist[iu, ju] <= EPS
-    if close.any():
-        k = int(np.argmax(close))
-        raise DuplicatePoint(f"points {iu[k]} and {ju[k]} coincide within {EPS}")
 
     adj: Dict[int, set] = {i: set() for i in range(n)}
     for a, b in _prim_edges(pts, dist):

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import MissingOrientation, TooManyPoints
 from .geometry import EPS, TAU, Point, Wedge, angle_diff, normalize_angle
 from .orientation import OrientationAssignment
+from .topology import as_coords, pairwise_distances
 
 # Candidate-angle nudge for brute-force grids: above membership EPS, below
 # geometric feature scale, so it selects each open side of a breakpoint
@@ -35,10 +36,6 @@ class CommGraph:
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.out_edges.values())
-
-
-def _coords(points: Sequence[Point]) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in points], dtype=float)
 
 
 def _adjacency_matrix(
@@ -75,7 +72,7 @@ def build_comm_graph(
     r = assignment.guaranteed_radius if r_override is None else r_override
     if len(pts) == 0:
         return CommGraph(0, {})
-    adj = _adjacency_matrix(_coords(pts), _theta_array(pts, assignment), assignment.alpha, r)
+    adj = _adjacency_matrix(as_coords(pts), _theta_array(pts, assignment), assignment.alpha, r)
     out = {i: frozenset(int(j) for j in np.flatnonzero(adj[i])) for i in range(len(pts))}
     return CommGraph(n=len(pts), out_edges=out)
 
@@ -158,7 +155,7 @@ def is_strongly_connected_at(
     pts = sorted(points, key=lambda p: p.id)
     if len(pts) <= 1:
         return True
-    adj = _adjacency_matrix(_coords(pts), _theta_array(pts, assignment), assignment.alpha, r)
+    adj = _adjacency_matrix(as_coords(pts), _theta_array(pts, assignment), assignment.alpha, r)
     return _strong_matrix(adj)
 
 
@@ -175,10 +172,9 @@ def min_strong_radius(
     n = len(pts)
     if n <= 1:
         return 0.0
-    coords = _coords(pts)
+    coords = as_coords(pts)
     theta = _theta_array(pts, assignment)
-    d = coords[:, None, :] - coords[None, :, :]
-    dist = np.hypot(d[..., 0], d[..., 1])
+    dist = pairwise_distances(coords)
     iu, ju = np.triu_indices(n, k=1)
     cands = np.unique(dist[iu, ju])
 

@@ -121,6 +121,17 @@ class TestPlotCommand:
         assert code == 0
         text = svg.read_text()
         assert "<circle" in text and "fill-opacity" not in text
+        assert 'stroke="#444444"' in text  # the spanning-tree edge
+
+    def test_disconnected_points_without_tree(self, tmp_path, capsys):
+        src = tmp_path / "pts.txt"
+        svg = tmp_path / "fig.svg"
+        write_points(src, [Point(0, 0, 0), Point(1, 0.5, 0), Point(2, 3, 0)])
+        code, _, _ = run(capsys, "plot", "--input", str(src), "--out", str(svg))
+        assert code == 0
+        text = svg.read_text()
+        assert text.count("<circle") == 3
+        assert 'stroke="#444444"' not in text
 
 
 class TestExperimentCommand:

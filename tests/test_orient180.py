@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sectornet.errors import DisconnectedInput, TooFewPoints
+from sectornet.errors import DisconnectedInput, DuplicatePoint, TooFewPoints
 from sectornet.geometry import Point, Wedge, angle_diff, direction, point_in_wedge
 from sectornet.instances import random_connected_udg
 from sectornet.orient180 import (
@@ -152,6 +152,15 @@ class TestOrientAll180:
     def test_disconnected(self):
         with pytest.raises(DisconnectedInput):
             orient_all_180([P(0, 0, 0), P(1, 4, 0)])
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_coincident_points(self, n):
+        with pytest.raises(DuplicatePoint):
+            orient_all_180([P(i, 0.5 * i, 0) for i in range(n - 1)] + [P(n - 1, 0, 0)])
+
+    def test_coincident_checked_before_connectivity(self):
+        with pytest.raises(DuplicatePoint):
+            orient_all_180([P(0, 0, 0), P(1, 0.5, 0), P(2, 0.5, 0), P(3, 9, 0)])
 
     def test_random_suite_strong_at_bound(self):
         for seed in range(30):

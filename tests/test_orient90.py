@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from sectornet.errors import DisconnectedInput, TooManyPoints
+from sectornet.errors import DisconnectedInput, DuplicatePoint, TooManyPoints
 from sectornet.geometry import Point
 from sectornet.instances import collinear_witness, random_connected_udg
 from sectornet.orient90 import (
@@ -13,13 +14,41 @@ from sectornet.orient90 import (
     orient_small,
 )
 from sectornet.topology import RootedTree, bounded_degree_mst
-from sectornet.verifier import build_comm_graph, min_strong_radius, strongly_connected
+from sectornet.verifier import (
+    build_comm_graph,
+    is_strongly_connected_at,
+    min_strong_radius,
+    strongly_connected,
+)
 
 PI = math.pi
 
 
 def P(i, x, y):
     return Point(i, float(x), float(y))
+
+
+def with_shuffled_ids(coords, rng):
+    ids = list(range(len(coords)))
+    rng.shuffle(ids)
+    return [P(i, x, y) for i, (x, y) in zip(ids, coords)]
+
+
+def collinear_group_instances():
+    """Rows and square lattices with shuffled ids: their spanning trees hold
+    fully collinear 90-degree groups, many of odd size."""
+    # five collinear points whose lowest id sits inside the row
+    yield "fault row", [P(i, 0.8 * k, 0) for k, i in enumerate((1, 2, 0, 3, 4))]
+    for seed in range(60):
+        rng = random.Random(seed)
+        for n in (5, 7, 9, 13):
+            xs = [0.0]
+            for _ in range(n - 1):
+                xs.append(xs[-1] + rng.uniform(0.5, 1.0))
+            yield f"row{n} seed {seed}", with_shuffled_ids([(x, 0.0) for x in xs], rng)
+        for k in (5, 8, 12):
+            coords = [(i, j) for j in range(k) for i in range(k)]
+            yield f"square{k} seed {seed}", with_shuffled_ids(coords, rng)
 
 
 def path_tree(n):
@@ -56,6 +85,15 @@ class TestOrientSmall:
     def test_disconnected(self):
         with pytest.raises(DisconnectedInput):
             orient_small([P(0, 0, 0), P(1, 2.5, 0)])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coincident_points(self, n):
+        with pytest.raises(DuplicatePoint):
+            orient_small([P(i, 0.5 * i, 0) for i in range(n - 1)] + [P(n - 1, 0, 0)])
+
+    def test_coincident_checked_before_connectivity(self):
+        with pytest.raises(DuplicatePoint):
+            orient_small([P(0, 0, 0), P(1, 0, 0), P(2, 5, 0)])
 
 
 class TestExtractGroups:
@@ -182,6 +220,33 @@ class TestOrientAll90:
         r = min_strong_radius(pts, a)
         assert r is not None and r <= RADIUS_90 + 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_coincident_points(self, n):
+        with pytest.raises(DuplicatePoint):
+            orient_all_90([P(i, 0.5 * i, 0) for i in range(n - 1)] + [P(n - 1, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [P(0, 0, 0), P(1, 0, 0), P(2, 5, 0)],
+            [P(0, 0, 0), P(1, 0.5, 0), P(2, 1, 0), P(3, 1, 0), P(4, 9, 0)],
+        ],
+    )
+    def test_coincident_checked_before_connectivity(self, pts):
+        with pytest.raises(DuplicatePoint):
+            orient_all_90(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [P(0, 0, 0), P(1, 0.5, 0), P(2, 3, 0)],
+            [P(0, 0, 0), P(1, 0.5, 0), P(2, 1, 0), P(3, 0.5, 0.5), P(4, 9, 9)],
+        ],
+    )
+    def test_disconnected(self, pts):
+        with pytest.raises(DisconnectedInput):
+            orient_all_90(pts)
+
     def test_square_grid(self):
         pts = [P(i, float(i % 6), float(i // 6)) for i in range(36)]
         a = orient_all_90(pts)
@@ -196,3 +261,14 @@ class TestOrientAll90:
             assert r is not None and r <= RADIUS_90 + 1e-9
             if a.diagnostics["all_groups_full"]:
                 assert a.diagnostics["applicable_bound"] == 5.0
+
+    def test_odd_collinear_groups_strong_at_seven(self):
+        # the last point of a collinear group faces back along the line; with
+        # strict alternation an odd group left it facing away from everyone
+        bad = []
+        for name, pts in collinear_group_instances():
+            a = orient_all_90(pts)
+            r = min_strong_radius(pts, a)
+            if not is_strongly_connected_at(pts, a, RADIUS_90) or r is None or r > RADIUS_90 + 1e-9:
+                bad.append((name, r))
+        assert bad == []

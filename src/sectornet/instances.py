@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import FrozenSet, List
 
 from .geometry import EPS, Point
-from .topology import build_udg, is_connected
 from .verifier import _coverage_mask, candidate_bisectors
 
 SQRT3 = math.sqrt(3.0)
@@ -112,8 +112,9 @@ def random_connected_udg(n: int, seed: int, box: float) -> List[Point]:
     """Deterministic random points in [0, box]^2 whose UDG is connected.
 
     Incremental construction: every new point lands within 0.9 of an existing
-    one, which keeps the UDG connected with margin under the membership
-    tolerance. Bit-for-bit reproducible from (n, seed, box).
+    one (its anchor), which keeps the UDG connected with margin under the
+    membership tolerance. A draw within 1e-6 of an existing point is
+    rejected. Bit-for-bit reproducible from (n, seed, box).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -121,18 +122,31 @@ def random_connected_udg(n: int, seed: int, box: float) -> List[Point]:
         raise ValueError("need box > 0")
     rng = random.Random(seed)
     coords = [(rng.uniform(0.0, box), rng.uniform(0.0, box))]
+    anchors = [0]
+    # A point within 1e-6 of a draw lies in the 3 x 3 cells around the draw's
+    # cell: cells are at least 2e-6 wide, and at least box / 2**40 wide so that
+    # x / cell rounds by under 2**-13.
+    cell = max(2e-6, box * 2.0**-40)
+    cells = defaultdict(list)
+    cells[math.floor(coords[0][0] / cell), math.floor(coords[0][1] / cell)].append(coords[0])
     while len(coords) < n:
-        bx, by = coords[rng.randrange(len(coords))]
+        anchor = rng.randrange(len(coords))
+        bx, by = coords[anchor]
         ang = rng.uniform(0.0, 2.0 * math.pi)
         rad = rng.uniform(0.0, 0.9)
         x = bx + rad * math.cos(ang)
         y = by + rad * math.sin(ang)
         if not (0.0 <= x <= box and 0.0 <= y <= box):
             continue
-        if any(math.hypot(x - cx, y - cy) <= 1e-6 for cx, cy in coords):
+        kx, ky = math.floor(x / cell), math.floor(y / cell)
+        near = (cells.get((kx + dx, ky + dy), ()) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+        if any(math.hypot(x - cx, y - cy) <= 1e-6 for c in near for cx, cy in c):
             continue
+        cells[kx, ky].append((x, y))
         coords.append((x, y))
-    pts = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
-    if not is_connected(build_udg(pts)):
-        raise AssertionError("generated points do not form a connected unit disk graph")
-    return pts
+        anchors.append(anchor)
+    # Each point's edge to its anchor is a UDG edge, so the UDG is connected.
+    for (x, y), a in zip(coords, anchors):
+        if math.hypot(x - coords[a][0], y - coords[a][1]) > 1.0 + EPS:
+            raise AssertionError("generated points do not form a connected unit disk graph")
+    return [Point(i, x, y) for i, (x, y) in enumerate(coords)]

@@ -2,9 +2,10 @@
 minimum strong radius, plane coverage, and brute-force feasibility.
 
 The communication graph has an edge a -> b exactly when b lies in a's wedge.
-Strong connectivity is decided by an iterative Tarjan SCC pass; the radius
-search and batch suites use an equivalent vectorized double-BFS on the
-adjacency matrix.
+Strong connectivity is decided by an iterative Tarjan SCC pass;
+``is_strongly_connected_at`` uses an equivalent vectorized double-BFS on the
+adjacency matrix, and the minimum strong radius comes from two bottleneck
+(minimax) reachability sweeps over the wedge-restricted distances.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import MissingOrientation, TooManyPoints
 from .geometry import EPS, TAU, Point, Wedge, angle_diff, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import as_coords, pairwise_distances
+from .topology import as_coords
 
 # Candidate-angle nudge for brute-force grids: above membership EPS, below
 # geometric feature scale, so it selects each open side of a breakpoint
@@ -38,16 +39,25 @@ class CommGraph:
         return sum(len(v) for v in self.out_edges.values())
 
 
-def _adjacency_matrix(
-    coords: np.ndarray, theta: np.ndarray, alpha: float, r: float, eps: float = EPS
-) -> np.ndarray:
-    """Boolean matrix: adj[a, b] iff b is in a's wedge."""
+def _wedge_rule(
+    coords: np.ndarray, theta: np.ndarray, alpha: float, eps: float = EPS
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Distance matrix and in_wedge[a, b]: the direction a -> b lies in a's
+    closed wedge, at any radius (the diagonal is meaningless)."""
     dx = coords[None, :, 0] - coords[:, None, 0]
     dy = coords[None, :, 1] - coords[:, None, 1]
     dist = np.hypot(dx, dy)
     ang = np.arctan2(dy, dx)
     diff = np.abs(np.mod(ang - theta[:, None] + math.pi, TAU) - math.pi)
-    adj = (dist <= r + eps) & (diff <= 0.5 * alpha + eps)
+    return dist, diff <= 0.5 * alpha + eps
+
+
+def _adjacency_matrix(
+    coords: np.ndarray, theta: np.ndarray, alpha: float, r: float, eps: float = EPS
+) -> np.ndarray:
+    """Boolean matrix: adj[a, b] iff b is in a's wedge."""
+    dist, in_wedge = _wedge_rule(coords, theta, alpha, eps)
+    adj = (dist <= r + eps) & in_wedge
     np.fill_diagonal(adj, False)
     return adj
 
@@ -159,38 +169,48 @@ def is_strongly_connected_at(
     return _strong_matrix(adj)
 
 
+def _bottleneck_level(w: np.ndarray) -> float:
+    """Smallest t at which the edges a -> b with w[a, b] <= t reach every node
+    from node 0 (inf if none does). The reached set grows by its cheapest
+    outgoing weight, taking every node at or below the level in one batch."""
+    reached = np.zeros(len(w), dtype=bool)
+    reached[0] = True
+    best = w[0].copy()
+    best[0] = np.inf
+    level = 0.0
+    while not reached.all():
+        level = max(level, float(best.min()))
+        if level == np.inf:
+            break
+        new = best <= level
+        reached |= new
+        best = np.minimum(best, w[new].min(axis=0))
+        best[reached] = np.inf
+    return level
+
+
 def min_strong_radius(
     points: Sequence[Point], assignment: OrientationAssignment
 ) -> Optional[float]:
     """Smallest pairwise distance at which the graph is strongly connected.
 
-    Edges change only when r crosses a pairwise distance, and the edge set
-    grows with r, so binary search over the sorted distances is exact.
-    Returns None when even the maximum pairwise distance fails (infeasible).
+    With W[a, b] = |ab| when b is in a's wedge and inf elsewhere, the graph at
+    radius r is strongly connected iff B <= r + EPS, B being the larger
+    bottleneck level from node 0 on W and on W transposed. The result is the
+    smallest pairwise distance c with B <= c + EPS: the float a binary search
+    of the sorted distances with ``is_strongly_connected_at`` finds, also when
+    distances lie within EPS of each other. None when no radius suffices.
     """
     pts = sorted(points, key=lambda p: p.id)
-    n = len(pts)
-    if n <= 1:
+    if len(pts) <= 1:
         return 0.0
-    coords = as_coords(pts)
-    theta = _theta_array(pts, assignment)
-    dist = pairwise_distances(coords)
-    iu, ju = np.triu_indices(n, k=1)
-    cands = np.unique(dist[iu, ju])
-
-    def ok(r: float) -> bool:
-        return _strong_matrix(_adjacency_matrix(coords, theta, assignment.alpha, r))
-
-    if not ok(float(cands[-1])):
+    dist, in_wedge = _wedge_rule(as_coords(pts), _theta_array(pts, assignment), assignment.alpha)
+    np.fill_diagonal(dist, np.inf)
+    w = np.where(in_wedge, dist, np.inf)
+    b = max(_bottleneck_level(w), _bottleneck_level(w.T))
+    if b == np.inf:
         return None
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(float(cands[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(cands[lo])
+    return float(dist[dist + EPS >= b].min())
 
 
 # ---------------------------------------------------------------------------

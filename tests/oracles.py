@@ -3,17 +3,25 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes.
+coverage probes. Two are reference implementations kept for differential
+tests: the binary search for the minimum strong radius and the quadratic
+random-UDG generator.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import random
 from itertools import product
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from sectornet.geometry import Point
+from sectornet.orientation import OrientationAssignment
+from sectornet.topology import build_udg, is_connected
+from sectornet.verifier import is_strongly_connected_at
 
 
 def prim_mst_length(coords: np.ndarray) -> float:
@@ -157,3 +165,61 @@ def sampled_uncovered_point(
     a = rng.random(n_far) * 2 * np.pi
     far_r = 1e6 * spread
     return uncovered_in(cx + far_r * np.cos(a), cy + far_r * np.sin(a))
+
+
+def binary_search_min_strong_radius(
+    points: Sequence[Point], assignment: OrientationAssignment
+) -> Optional[float]:
+    """Smallest pairwise distance r with ``is_strongly_connected_at(r)``, by
+    binary search over the sorted distinct distances (the predicate is
+    monotone in r); None when even the largest distance fails."""
+    pts = sorted(points, key=lambda p: p.id)
+    n = len(pts)
+    if n <= 1:
+        return 0.0
+    coords = np.array([(p.x, p.y) for p in pts], dtype=float)
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    iu, ju = np.triu_indices(n, k=1)
+    cands = np.unique(dist[iu, ju])
+
+    def ok(r: float) -> bool:
+        return is_strongly_connected_at(pts, assignment, r)
+
+    if not ok(float(cands[-1])):
+        return None
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(float(cands[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(cands[lo])
+
+
+def quadratic_random_connected_udg(n: int, seed: int, box: float) -> List[Point]:
+    """Reference for ``random_connected_udg``: the same draws, with the
+    duplicate check scanning every earlier point and connectivity decided on
+    the full unit disk graph."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if box <= 0:
+        raise ValueError("need box > 0")
+    rng = random.Random(seed)
+    coords = [(rng.uniform(0.0, box), rng.uniform(0.0, box))]
+    while len(coords) < n:
+        bx, by = coords[rng.randrange(len(coords))]
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        rad = rng.uniform(0.0, 0.9)
+        x = bx + rad * math.cos(ang)
+        y = by + rad * math.sin(ang)
+        if not (0.0 <= x <= box and 0.0 <= y <= box):
+            continue
+        if any(math.hypot(x - cx, y - cy) <= 1e-6 for cx, cy in coords):
+            continue
+        coords.append((x, y))
+    pts = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
+    if not is_connected(build_udg(pts)):
+        raise AssertionError("generated points do not form a connected unit disk graph")
+    return pts

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from oracles import quadratic_random_connected_udg
 from sectornet.geometry import EPS, angle_diff, direction
 from sectornet.instances import (
     SQRT3,
@@ -115,3 +117,41 @@ class TestRandomConnectedUdg:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert pts[i].dist(pts[j]) > EPS
+
+    @pytest.mark.parametrize(
+        "n, seed, box",
+        [(1, 3, 1.0), (2, 0, 1.0), (60, 1, 1.0), (200, 7, 0.5), (30, 4, 1e9)]
+        + [(n, seed, math.sqrt(n)) for n in (10, 100, 400) for seed in (0, 11)],
+    )
+    def test_matches_quadratic_reference(self, n, seed, box):
+        pts = random_connected_udg(n, seed, box)
+        ref = quadratic_random_connected_udg(n, seed, box)
+        assert [(p.id, p.x, p.y) for p in pts] == [(p.id, p.x, p.y) for p in ref]
+
+    def test_matches_quadratic_reference_on_near_duplicates(self, monkeypatch):
+        class CrowdedRandom(random.Random):
+            """Half the offsets from the anchor are 0, 0.5, 1, 1.5 or 2 times
+            1e-6, so draws hit, graze or just miss the rejection distance."""
+
+            def uniform(self, a, b):
+                u = super().uniform(a, b)
+                if b == 0.9 and self.random() < 0.5:
+                    return self.randrange(5) * 0.5e-6
+                return u
+
+        monkeypatch.setattr(random, "Random", CrowdedRandom)
+        for n, seed, box in [(150, 1, 1.0), (300, 2, math.sqrt(300))]:
+            pts = random_connected_udg(n, seed, box)
+            ref = quadratic_random_connected_udg(n, seed, box)
+            assert [(p.id, p.x, p.y) for p in pts] == [(p.id, p.x, p.y) for p in ref]
+
+    def test_draw_beyond_unit_distance_raises(self, monkeypatch):
+        class FarRandom(random.Random):
+            def uniform(self, a, b):
+                return 1.5 if b == 0.9 else super().uniform(a, b)
+
+        monkeypatch.setattr(random, "Random", FarRandom)
+        with pytest.raises(AssertionError):
+            random_connected_udg(2, 0, 10.0)
+        with pytest.raises(AssertionError):
+            quadratic_random_connected_udg(2, 0, 10.0)

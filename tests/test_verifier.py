@@ -4,10 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from oracles import bfs_strongly_connected, sampled_uncovered_point
+from oracles import (
+    bfs_strongly_connected,
+    binary_search_min_strong_radius,
+    sampled_uncovered_point,
+)
 from sectornet.errors import MissingOrientation, TooManyPoints
 from sectornet.geometry import Point, Wedge
 from sectornet.instances import collinear_witness, random_connected_udg
+from sectornet.orient180 import orient_all_180
+from sectornet.orient90 import orient_all_90
 from sectornet.orientation import OrientationAssignment
 from sectornet.verifier import (
     build_comm_graph,
@@ -138,6 +144,113 @@ class TestMinStrongRadius:
             for d in dists:
                 if d > r:
                     assert strongly_connected(build_comm_graph(pts, a, r_override=d))
+
+
+def square_lattice(k, spacing=1.0):
+    return [P(i * k + j, i * spacing, j * spacing) for i in range(k) for j in range(k)]
+
+
+def hex_lattice(radius):
+    coords = [
+        (q + r / 2.0, r * math.sqrt(3) / 2.0)
+        for q in range(-radius, radius + 1)
+        for r in range(-radius, radius + 1)
+        if abs(q + r) <= radius
+    ]
+    return [P(i, x, y) for i, (x, y) in enumerate(coords)]
+
+
+def near_tie_triangle(a, b):
+    """Triangle with sides |01| = 1, |12| = 1 + a, |20| = 1 + b, each 90-degree
+    wedge aimed at the next vertex, so the graph is the cycle 0 -> 1 -> 2 -> 0."""
+    l1, l2 = 1.0 + a, 1.0 + b
+    x = (l2 * l2 - l1 * l1 + 1.0) / 2.0
+    pts = [P(0, 0, 0), P(1, 1, 0), P(2, x, math.sqrt(l2 * l2 - x * x))]
+    theta = {
+        p.id: math.atan2(q.y - p.y, q.x - p.x) for p, q in zip(pts, pts[1:] + pts[:1])
+    }
+    return pts, OrientationAssignment(alpha=PI / 2, theta=theta, guaranteed_radius=1.0)
+
+
+class TestMinStrongRadiusMatchesBinarySearch:
+    """The bottleneck sweeps return the very float (or None) the binary search
+    over the pairwise distances returns."""
+
+    @staticmethod
+    def same(pts, a):
+        r = min_strong_radius(pts, a)
+        assert r == binary_search_min_strong_radius(pts, a)
+        return r
+
+    def test_random_theta(self):
+        rng = random.Random(21)
+        results = []
+        for seed in range(80):
+            n = rng.randint(2, 40)
+            pts = random_connected_udg(n, seed, rng.choice([1.0, math.sqrt(n), n / 2.0]))
+            for alpha in (PI, PI / 2):
+                if seed % 2:
+                    theta = {p.id: rng.uniform(0, 2 * PI) for p in pts}
+                else:
+                    # aim at another point, jittered, so feasible cases are common
+                    theta = {}
+                    for p in pts:
+                        q = rng.choice([q for q in pts if q.id != p.id])
+                        theta[p.id] = math.atan2(q.y - p.y, q.x - p.x) + rng.uniform(-0.3, 0.3)
+                a = OrientationAssignment(alpha=alpha, theta=theta, guaranteed_radius=1.0)
+                results.append(self.same(pts, a))
+        assert any(r is None for r in results)
+        assert sum(r is not None for r in results) > 40
+
+    def test_lattices(self):
+        rng = random.Random(5)
+        lattices = [square_lattice(k) for k in (2, 3, 5, 7)]
+        lattices += [square_lattice(4, spacing=0.1), hex_lattice(1), hex_lattice(2), hex_lattice(3)]
+        for pts in lattices:
+            for alpha in (PI, PI / 2):
+                # multiples of 45 degrees put lattice neighbours on wedge boundaries
+                for _ in range(6):
+                    theta = {p.id: rng.randrange(8) * PI / 4 for p in pts}
+                    self.same(pts, OrientationAssignment(alpha=alpha, theta=theta, guaranteed_radius=1.0))
+            self.same(pts, orient_all_180(pts))
+            self.same(pts, orient_all_90(pts))
+
+    def test_constructed_orientations(self):
+        for seed in range(6):
+            pts = random_connected_udg(120, seed, math.sqrt(120))
+            assert self.same(pts, orient_all_180(pts)) is not None
+            assert self.same(pts, orient_all_90(pts)) is not None
+
+    def test_distances_within_eps_of_the_bottleneck(self):
+        # the bottleneck edge is |20|; |01| = 1 is within EPS of it and wins
+        pts, a = near_tie_triangle(3e-10, 7e-10)
+        assert self.same(pts, a) == pts[0].dist(pts[1]) < pts[2].dist(pts[0])
+        # |01| is not within EPS of |20| = 1 + 1.2e-9, but |12| is
+        pts, a = near_tie_triangle(6e-10, 1.2e-9)
+        assert self.same(pts, a) == pts[1].dist(pts[2]) < pts[2].dist(pts[0])
+
+    def test_one_and_two_points(self):
+        a = OrientationAssignment(alpha=PI / 2, theta={0: 1.0}, guaranteed_radius=1.0)
+        assert self.same([P(0, 3, 4)], a) == 0.0
+        pts = [P(0, 0, 0), P(1, 0.3, 0.4)]
+        facing = OrientationAssignment(
+            alpha=PI / 2, theta={0: math.atan2(0.4, 0.3), 1: math.atan2(-0.4, -0.3)}, guaranteed_radius=1.0
+        )
+        assert self.same(pts, facing) == pts[0].dist(pts[1])
+        away = OrientationAssignment(alpha=PI, theta={0: PI, 1: PI}, guaranteed_radius=1.0)
+        assert self.same(pts, away) is None
+        # closer than EPS: the answer is still their distance, never 0
+        close = [P(0, 0, 0), P(1, 5e-10, 0)]
+        a = OrientationAssignment(alpha=PI, theta={0: 0.0, 1: PI}, guaranteed_radius=1.0)
+        assert self.same(close, a) == 5e-10
+
+    def test_missing_orientation(self):
+        pts = [P(0, 0, 0), P(1, 1, 0), P(2, 2, 0)]
+        a = OrientationAssignment(alpha=PI, theta={0: 0.0, 2: PI}, guaranteed_radius=1.0)
+        with pytest.raises(MissingOrientation):
+            min_strong_radius(pts, a)
+        with pytest.raises(MissingOrientation):
+            binary_search_min_strong_radius(pts, a)
 
 
 class TestCoversPlane:

@@ -34,8 +34,8 @@ print(f"spanning tree: root={tree.root} (highest point), "
       f"max degree={max(tree.degree(v) for v in tree.nodes())}, "
       f"height={heights[tree.root]}")
 
-# The grouping works bottom-up: a height-one node of the shrinking tree is
-# grouped with its children, removed, and the process repeats.
+# The grouping works bottom-up: the deepest height-one node of the shrinking
+# tree is grouped with its children, removed, and the process repeats.
 groups = partition_groups_180(tree)
 sizes = [g.size for g in groups]
 print(f"groups (removal order): {len(groups)}, sizes {sizes}")
@@ -44,7 +44,8 @@ assignment = orient_all_180(points)
 print(f"aperture: 180 degrees, guaranteed radius {assignment.guaranteed_radius:.6f}")
 
 graph = build_comm_graph(points, assignment, r_override=RADIUS_180)
-print(f"communication graph at r=1+sqrt(3): {graph.edge_count()} edges, "
+edges = sum(len(v) for v in graph.out_edges.values())
+print(f"communication graph at r=1+sqrt(3): {edges} edges, "
       f"strongly connected: {strongly_connected(graph)}")
 
 achieved = min_strong_radius(points, assignment)

@@ -64,6 +64,16 @@ def write_points(path, points: Sequence[Point], comment: Optional[str] = None) -
     Path(path).write_text("\n".join(out) + "\n")
 
 
+def _finite(path, lineno: int, text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(path, lineno, str(exc)) from None
+    if not math.isfinite(value):
+        raise ParseError(path, lineno, f"{what} must be finite")
+    return value
+
+
 def read_orientation(path) -> OrientationAssignment:
     alpha = None
     radius = None
@@ -73,11 +83,11 @@ def read_orientation(path) -> OrientationAssignment:
         if parts[0] == "alpha":
             if alpha is not None or len(parts) != 2:
                 raise ParseError(path, lineno, "malformed alpha header")
-            alpha = float(parts[1])
+            alpha = _finite(path, lineno, parts[1], "alpha")
         elif parts[0] == "radius":
             if radius is not None or len(parts) != 2:
                 raise ParseError(path, lineno, "malformed radius header")
-            radius = float(parts[1])
+            radius = _finite(path, lineno, parts[1], "radius")
         else:
             if alpha is None or radius is None:
                 raise ParseError(path, lineno, "alpha/radius headers must come first")
@@ -85,9 +95,9 @@ def read_orientation(path) -> OrientationAssignment:
                 raise ParseError(path, lineno, f"expected '<id> <theta>', got {line!r}")
             try:
                 pid = int(parts[0])
-                th = float(parts[1])
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from None
+            th = _finite(path, lineno, parts[1], "theta")
             if pid in theta:
                 raise ParseError(path, lineno, f"duplicate orientation for id {pid}")
             theta[pid] = normalize_angle(th)

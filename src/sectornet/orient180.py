@@ -2,13 +2,14 @@
 orient each group so the communication graph is strongly connected at
 radius 1 + sqrt(3).
 
-Each group is a height-one node of the residual tree together with its
-children. Within a group, one child is paired with the parent (their
-half-plane wedges share the boundary line through both and cover opposite
-sides, so together they see the whole plane and each other); two further
-children may be paired with each other the same way, chosen to form a
-smallest angle at the parent so their mutual distance stays below sqrt(3);
-any remaining child simply aims at the parent.
+Groups are removed deepest first: each is the deepest height-one node of the
+residual tree (ties: smallest id) together with its children. Within a
+group, one child is paired with the parent (their half-plane wedges share
+the boundary line through both and cover opposite sides, so together they
+see the whole plane and each other); two further children may be paired with
+each other the same way, chosen to form a smallest angle at the parent so
+their mutual distance stays below sqrt(3); any remaining child simply aims
+at the parent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import ConstructionInvariantViolated, TooFewPoints
 from .geometry import Point, cross, direction, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import RootedTree, bounded_degree_mst, check_point_ids
+from .topology import RootedTree, bounded_degree_mst, carve, check_point_ids
 from .verifier import is_strongly_connected_at
 
 RADIUS_180 = 1.0 + math.sqrt(3.0)
@@ -55,41 +56,23 @@ class Group180:
         return 1 + len(self.members)
 
 
-def _residual_heights(alive: set, children: Dict[int, List[int]], root: int) -> Dict[int, int]:
-    order = [root]
-    i = 0
-    while i < len(order):
-        order.extend(children[order[i]])
-        i += 1
-    h = {v: 0 for v in order}
-    for v in reversed(order):
-        if children[v]:
-            h[v] = 1 + max(h[c] for c in children[v])
-    return h
-
-
 def partition_groups_180(t: RootedTree) -> List[Group180]:
-    """Grouping in removal order: repeatedly take the smallest-id height-one
-    node of the residual tree together with its current children; a leftover
-    root becomes a singleton group."""
-    children = {v: list(t.children[v]) for v in t.parent}
-    alive = set(t.parent)
-    groups: List[Group180] = []
-    while len(alive) > 1:
-        heights = _residual_heights(alive, children, t.root)
-        v = min(u for u in alive if heights[u] == 1)
-        members = tuple(children[v])
-        for c in members:
-            alive.discard(c)
-        alive.discard(v)
-        if v == t.root:
-            attached = None
-        else:
-            attached = t.parent[v]
-            children[attached].remove(v)
-        children[v] = []
-        groups.append(Group180(parent=v, members=members, attached_above=attached))
-    if alive:
+    """Grouping in removal order: repeatedly take the deepest height-one node
+    of the residual tree (ties: smallest id) together with its current
+    children; a leftover root becomes a singleton group.
+
+    A height-one node is one whose residual subtree has two or more nodes
+    while each child's has one, so the groups are ``carve(t, 2)``."""
+    cuts, rest = carve(t, 2)
+    groups = [
+        Group180(
+            parent=v,
+            members=tuple(sub[1:]),
+            attached_above=None if v == t.root else t.parent[v],
+        )
+        for v, sub in cuts
+    ]
+    if rest:
         groups.append(Group180(parent=t.root, members=(), attached_above=None))
     return groups
 

@@ -20,7 +20,7 @@ from .errors import ConstructionInvariantViolated, TooFewPoints, TooManyPoints
 from .fourpoint import orient_four, search_cover_orientation
 from .geometry import Point, QuadKind, TAU, classify_quad, collinear, direction, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import RootedTree, bounded_degree_mst, check_point_ids
+from .topology import RootedTree, bounded_degree_mst, carve, check_point_ids
 from .verifier import is_strongly_connected_at
 
 RADIUS_90 = 7.0
@@ -95,67 +95,27 @@ def orient_small(points: Sequence[Point]) -> OrientationAssignment:
     return assignment
 
 
-def _subtree_nodes(v: int, children: Dict[int, List[int]]) -> List[int]:
-    out = [v]
-    i = 0
-    while i < len(out):
-        out.extend(children[out[i]])
-        i += 1
-    return out
-
-
 def extract_groups_90(t: RootedTree) -> Tuple[List[Group90], List[int]]:
     """Carve off minimal subtrees of four or more nodes, deepest first.
 
     Each step removes the deepest node (ties: smallest id) whose subtree has
-    at least 4 nodes while every child subtree has fewer; what remains at the
-    end (at most 3 nodes, containing the tree root, possibly nothing) is the
-    small root remainder.
+    at least 4 nodes while every child subtree has fewer (``carve(t, 4)``);
+    what remains at the end (at most 3 nodes, containing the tree root,
+    possibly nothing) is the small root remainder.
     """
     if t.n < 4:
         raise TooFewPoints("group extraction needs at least 4 nodes")
-    children = {v: list(t.children[v]) for v in t.parent}
-    alive = set(t.parent)
-    groups: List[Group90] = []
-    while len(alive) >= 4:
-        depth = {t.root: 0}
-        order = [t.root]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for c in children[v]:
-                depth[c] = depth[v] + 1
-                order.append(c)
-        size = {v: 1 for v in order}
-        for v in reversed(order):
-            for c in children[v]:
-                size[v] += size[c]
-        eligible = [
-            v
-            for v in order
-            if size[v] >= 4 and all(size[c] < 4 for c in children[v])
-        ]
-        v = min(eligible, key=lambda u: (-depth[u], u))
-        members = _subtree_nodes(v, children)
-        attach = None if v == t.root else t.parent[v]
-        if attach is not None:
-            children[attach].remove(v)
-        for m in members:
-            alive.discard(m)
-            children[m] = []
-        reps = choose_representatives(members, v, {m: list(t.children[m]) for m in members})
-        groups.append(
-            Group90(
-                subtree_root=v,
-                members=frozenset(members),
-                representatives=reps,
-                attach_parent=attach,
-            )
+    cuts, remainder = carve(t, 4)
+    groups = [
+        Group90(
+            subtree_root=v,
+            members=frozenset(sub),
+            representatives=choose_representatives(sub, v, t.children),
+            attach_parent=None if v == t.root else t.parent[v],
         )
-        # removal of a whole subtree keeps the residual tree connected
-        assert attach is None or attach in alive
-    return groups, sorted(alive)
+        for v, sub in cuts
+    ]
+    return groups, sorted(remainder)
 
 
 def _hop_distances(members: Sequence[int], adj: Dict[int, List[int]]) -> Dict[int, Dict[int, int]]:

@@ -28,15 +28,6 @@ class Udg:
     n: int
     edges: FrozenSet[Tuple[int, int]]
 
-    def neighbors(self, i: int) -> List[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def adjacency(self) -> List[List[int]]:
         adj: List[List[int]] = [[] for _ in range(self.n)]
         for a, b in self.edges:
@@ -267,16 +258,51 @@ def bounded_degree_mst(points: Sequence[Point]) -> RootedTree:
     return RootedTree(root=root, parent=parent, children=children)
 
 
+def _top_down(t: RootedTree) -> List[int]:
+    """Nodes in breadth-first order from the root, each after its parent."""
+    order = [t.root]
+    i = 0
+    while i < len(order):
+        order.extend(t.children[order[i]])
+        i += 1
+    return order
+
+
 def tree_heights(t: RootedTree) -> Dict[int, int]:
     """Height of every node: 0 at leaves, 1 + max over children otherwise."""
-    order: List[int] = []
-    queue = deque([t.root])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        queue.extend(t.children[v])
     heights = {v: 0 for v in t.parent}
-    for v in reversed(order):
+    for v in reversed(_top_down(t)):
         if t.children[v]:
             heights[v] = 1 + max(heights[c] for c in t.children[v])
     return heights
+
+
+def carve(t: RootedTree, k: int) -> Tuple[List[Tuple[int, List[int]]], List[int]]:
+    """Cut the tree bottom-up into minimal subtrees of at least k nodes.
+
+    The rule: repeatedly remove the deepest node (ties: smallest id) whose
+    residual subtree has k or more nodes while each child's has fewer. A
+    removal shrinks only the subtrees of the removed node's ancestors, so one
+    post-order fold makes the same cuts: a node's residual subtree is the
+    node followed by the residual subtrees of its uncut children, in
+    ``children`` order, and the node is cut when that holds k or more nodes.
+
+    Returns the cut nodes in removal order, which is (-depth, id) order, each
+    with its residual subtree, and the nodes left uncut at the root.
+    """
+    order = _top_down(t)
+    depth = {t.root: 0}
+    for v in order[1:]:
+        depth[v] = depth[t.parent[v]] + 1
+    uncut: Dict[int, List[int]] = {}
+    cuts: List[Tuple[int, List[int]]] = []
+    for v in reversed(order):
+        sub = [v]
+        for c in t.children[v]:
+            sub.extend(uncut.pop(c, ()))
+        if len(sub) >= k:
+            cuts.append((v, sub))
+        else:
+            uncut[v] = sub
+    cuts.sort(key=lambda cut: (-depth[cut[0]], cut[0]))
+    return cuts, uncut.get(t.root, [])

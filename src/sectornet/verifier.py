@@ -35,9 +35,6 @@ class CommGraph:
     n: int
     out_edges: Dict[int, FrozenSet[int]]
 
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.out_edges.values())
-
 
 def _wedge_rule(
     coords: np.ndarray, theta: np.ndarray, alpha: float, eps: float = EPS
@@ -83,7 +80,7 @@ def build_comm_graph(
     if len(pts) == 0:
         return CommGraph(0, {})
     adj = _adjacency_matrix(as_coords(pts), _theta_array(pts, assignment), assignment.alpha, r)
-    out = {i: frozenset(int(j) for j in np.flatnonzero(adj[i])) for i in range(len(pts))}
+    out = {i: frozenset(np.flatnonzero(adj[i]).tolist()) for i in range(len(pts))}
     return CommGraph(n=len(pts), out_edges=out)
 
 

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes. Two are reference implementations kept for differential
-tests: the binary search for the minimum strong radius and the quadratic
-random-UDG generator.
+coverage probes. Four are reference implementations kept for differential
+tests: the binary search for the minimum strong radius, the quadratic
+random-UDG generator, and the two quadratic tree groupings that walk the
+whole residual tree again after every removal.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from sectornet.geometry import Point
+from sectornet.orient180 import Group180
+from sectornet.orient90 import Group90, choose_representatives
 from sectornet.orientation import OrientationAssignment
-from sectornet.topology import build_udg, is_connected
+from sectornet.topology import RootedTree, build_udg, is_connected
 from sectornet.verifier import is_strongly_connected_at
 
 
@@ -223,3 +226,81 @@ def quadratic_random_connected_udg(n: int, seed: int, box: float) -> List[Point]
     if not is_connected(build_udg(pts)):
         raise AssertionError("generated points do not form a connected unit disk graph")
     return pts
+
+
+def _residual_order(root: int, children: Dict[int, List[int]]) -> List[int]:
+    order = [root]
+    i = 0
+    while i < len(order):
+        order.extend(children[order[i]])
+        i += 1
+    return order
+
+
+def quadratic_partition_groups_180(t: RootedTree) -> List[Group180]:
+    """Reference 180-degree grouping: after every removal, recompute the
+    residual heights and take the smallest-id height-one node with its
+    current children; a leftover root becomes a singleton group."""
+    children = {v: list(t.children[v]) for v in t.parent}
+    alive = set(t.parent)
+    groups: List[Group180] = []
+    while len(alive) > 1:
+        order = _residual_order(t.root, children)
+        heights = {v: 0 for v in order}
+        for v in reversed(order):
+            if children[v]:
+                heights[v] = 1 + max(heights[c] for c in children[v])
+        v = min(u for u in alive if heights[u] == 1)
+        members = tuple(children[v])
+        alive.difference_update(members)
+        alive.discard(v)
+        if v == t.root:
+            attached = None
+        else:
+            attached = t.parent[v]
+            children[attached].remove(v)
+        children[v] = []
+        groups.append(Group180(parent=v, members=members, attached_above=attached))
+    if alive:
+        groups.append(Group180(parent=t.root, members=(), attached_above=None))
+    return groups
+
+
+def quadratic_extract_groups_90(t: RootedTree) -> Tuple[List[Group90], List[int]]:
+    """Reference 90-degree grouping: after every removal, recompute depth and
+    size of the residual tree and remove the deepest node (ties: smallest id)
+    whose subtree has at least 4 nodes while every child subtree has fewer."""
+    children = {v: list(t.children[v]) for v in t.parent}
+    alive = set(t.parent)
+    groups: List[Group90] = []
+    while len(alive) >= 4:
+        order = _residual_order(t.root, children)
+        depth = {t.root: 0}
+        for v in order:
+            for c in children[v]:
+                depth[c] = depth[v] + 1
+        size = {v: 1 for v in order}
+        for v in reversed(order):
+            for c in children[v]:
+                size[v] += size[c]
+        eligible = [
+            v for v in order if size[v] >= 4 and all(size[c] < 4 for c in children[v])
+        ]
+        v = min(eligible, key=lambda u: (-depth[u], u))
+        members = _residual_order(v, children)
+        attach = None if v == t.root else t.parent[v]
+        if attach is not None:
+            children[attach].remove(v)
+        for m in members:
+            alive.discard(m)
+            children[m] = []
+        reps = choose_representatives(members, v, {m: list(t.children[m]) for m in members})
+        groups.append(
+            Group90(
+                subtree_root=v,
+                members=frozenset(members),
+                representatives=reps,
+                attach_parent=attach,
+            )
+        )
+    return groups, sorted(alive)

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from sectornet.cli import main
 from sectornet.fileio import read_orientation, read_points, write_points
 from sectornet.geometry import Point
@@ -75,6 +77,25 @@ class TestVerifyCommand:
         orient.write_text("alpha 3.14\nradius 1.0\n0 0.0\n")
         code, _, _ = run(capsys, "verify", "--input", str(src), "--orientation", str(orient))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("alpha inf\nradius 1.0\n0 0.0\n1 3.14\n", 1),
+            ("alpha 3.14\nradius nan\n0 0.0\n1 3.14\n", 2),
+            ("alpha 3.14\nradius 1.0\n0 nan\n1 3.14\n", 3),
+            ("alpha 3.14\nradius 1.0\n0 0.0\n1 inf\n", 4),
+        ],
+        ids=["alpha-inf", "radius-nan", "theta-nan", "theta-inf"],
+    )
+    def test_non_finite_orientation_exit_2(self, tmp_path, capsys, text, line):
+        src = tmp_path / "pts.txt"
+        orient = tmp_path / "orient.txt"
+        write_points(src, [Point(0, 0, 0), Point(1, 1, 0)])
+        orient.write_text(text)
+        code, stdout, err = run(capsys, "verify", "--input", str(src), "--orientation", str(orient))
+        assert code == 2 and stdout == ""
+        assert f"{orient}:{line}: " in err and "must be finite" in err
 
 
 class TestWitnessCommand:

@@ -80,3 +80,10 @@ class TestOrientationFile:
         path.write_text(f"alpha {math.pi!r}\nradius 1.0\n0 {2 * math.pi!r}\n")
         back = read_orientation(path)
         assert back.theta[0] == 0.0
+
+    def test_malformed_header_value_reports_line(self, tmp_path):
+        path = tmp_path / "orient.txt"
+        path.write_text("alpha 3.14\nradius wide\n0 1.0\n")
+        with pytest.raises(ParseError) as err:
+            read_orientation(path)
+        assert err.value.line == 2

@@ -52,19 +52,20 @@ class TestWitness180:
         p = pts[w.p_id]
         udg = build_udg(pts)
         assert is_connected(udg)
+        adj = udg.adjacency()
         by_id = {q.id: q for q in pts}
         # every UDG edge has unit length
         for a, b in udg.edges:
             assert by_id[a].dist(by_id[b]) == pytest.approx(1.0, abs=1e-12)
         # p has exactly three neighbors at mutual 120 degrees
-        nbrs = udg.neighbors(p.id)
+        nbrs = adj[p.id]
         assert len(nbrs) == 3
         dirs = sorted(direction(p, by_id[i]) for i in nbrs)
         for a, b in zip(dirs, dirs[1:]):
             assert angle_diff(a, b) == pytest.approx(2 * math.pi / 3, abs=1e-9)
         # all adjacent-edge angles are 120 degrees
         for v in pts:
-            vn = udg.neighbors(v.id)
+            vn = adj[v.id]
             for i in range(len(vn)):
                 for j in range(i + 1, len(vn)):
                     ang = angle_diff(direction(v, by_id[vn[i]]), direction(v, by_id[vn[j]]))

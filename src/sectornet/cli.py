@@ -27,13 +27,20 @@ from .orient180 import RADIUS_180, orient_all_180
 from .orient90 import RADIUS_90, orient_all_90
 from .svgplot import render_scene
 from .topology import bounded_degree_mst
-from .verifier import build_comm_graph, min_strong_radius, tarjan_scc_count
+from .verifier import build_comm_graph, min_strong_radius, strongly_connected, tarjan_scc_count
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INVARIANT = 4
+
+
+def nonnegative(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check strong connectivity of an orientation")
     p.add_argument("--input", required=True, help="point file")
     p.add_argument("--orientation", required=True, help="orientation file")
-    p.add_argument("--radius", type=float, default=None,
+    p.add_argument("--radius", type=nonnegative, default=None,
                    help="radius override (default: the orientation file's radius)")
 
     p = sub.add_parser("witness", help="emit a lower-bound witness point set")
@@ -64,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render an SVG figure")
     p.add_argument("--input", required=True, help="point file")
     p.add_argument("--orientation", default=None, help="orientation file (optional)")
-    p.add_argument("--radius", type=float, default=None, help="wedge radius to draw")
+    p.add_argument("--radius", type=nonnegative, default=None, help="wedge radius to draw")
     p.add_argument("--out", required=True, help="SVG file to write")
 
     p = sub.add_parser("experiment", help="random end-to-end orient+verify trials")
@@ -95,11 +102,10 @@ def cmd_verify(args) -> int:
     if set(assignment.theta) != {p.id for p in points}:
         raise ParseError(args.orientation, 0, "orientation ids do not match point ids")
     graph = build_comm_graph(points, assignment, r_override=args.radius)
-    sccs = tarjan_scc_count(graph.n, graph.out_edges) if graph.n else 1
-    if sccs == 1:
+    if strongly_connected(graph):
         print("STRONG sccs=1")
         return EXIT_OK
-    print(f"NOT-STRONG sccs={sccs}")
+    print(f"NOT-STRONG sccs={tarjan_scc_count(graph.n, graph.out_edges)}")
     return EXIT_NEGATIVE
 
 

@@ -2,9 +2,9 @@
 
 Point file: one `<id> <x> <y>` per line; `#` comments and blank lines are
 ignored; ids must be distinct and contiguous from 0. Orientation file: header
-lines `alpha <radians>` and `radius <real>` followed by one `<id> <theta>`
-per point. All floats are written with repr, so a write/read round trip is
-exact.
+lines `alpha <radians>` (in (0, 2*pi]) and `radius <real>` (non-negative)
+followed by one `<id> <theta>` per point. All floats are written with repr,
+so a write/read round trip is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import ParseError
-from .geometry import Point, normalize_angle
+from .geometry import TAU, Point, normalize_angle
 from .orientation import OrientationAssignment
 
 
@@ -84,10 +84,14 @@ def read_orientation(path) -> OrientationAssignment:
             if alpha is not None or len(parts) != 2:
                 raise ParseError(path, lineno, "malformed alpha header")
             alpha = _finite(path, lineno, parts[1], "alpha")
+            if not 0.0 < alpha <= TAU:
+                raise ParseError(path, lineno, "alpha must lie in (0, 2*pi]")
         elif parts[0] == "radius":
             if radius is not None or len(parts) != 2:
                 raise ParseError(path, lineno, "malformed radius header")
             radius = _finite(path, lineno, parts[1], "radius")
+            if radius < 0.0:
+                raise ParseError(path, lineno, "radius must be non-negative")
         else:
             if alpha is None or radius is None:
                 raise ParseError(path, lineno, "alpha/radius headers must come first")

@@ -64,7 +64,8 @@ class RootedTree:
 
 
 def as_coords(points: Sequence[Point]) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in points], dtype=float)
+    """(n, 2) coordinates, also for n = 0."""
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:

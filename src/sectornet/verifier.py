@@ -1,15 +1,17 @@
 """Ground truth for constructions: communication graphs, strong connectivity,
 minimum strong radius, plane coverage, and brute-force feasibility.
 
-The communication graph has an edge a -> b exactly when b lies in a's wedge.
-Strong connectivity is decided by an iterative Tarjan SCC pass;
-``is_strongly_connected_at`` uses an equivalent vectorized double-BFS on the
-adjacency matrix, and the minimum strong radius comes from two bottleneck
-(minimax) reachability sweeps over the wedge-restricted distances.
+The communication graph has an edge a -> b exactly when b lies in a's wedge;
+``CommGraph`` holds it as a boolean adjacency matrix. Every strong-connectivity
+decision is one bitmask reach: each node's out-neighbours form one Python int,
+and a graph is strongly connected when node 0 reaches every node forwards and
+backwards. The minimum strong radius comes from two bottleneck (minimax)
+reachability sweeps over the wedge-restricted distances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -28,17 +30,23 @@ from .topology import as_coords
 NUDGE = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Directed communication graph on point ids 0..n-1."""
+    """Directed communication graph on point ids 0..n-1: adj[a, b] iff b lies
+    in a's wedge."""
 
-    n: int
-    out_edges: Dict[int, FrozenSet[int]]
+    adj: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    @functools.cached_property
+    def out_edges(self) -> Dict[int, FrozenSet[int]]:
+        return {i: frozenset(np.flatnonzero(row).tolist()) for i, row in enumerate(self.adj)}
 
 
-def _wedge_rule(
-    coords: np.ndarray, theta: np.ndarray, alpha: float, eps: float = EPS
-) -> Tuple[np.ndarray, np.ndarray]:
+def _wedge_rule(coords: np.ndarray, theta: np.ndarray, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """Distance matrix and in_wedge[a, b]: the direction a -> b lies in a's
     closed wedge, at any radius (the diagonal is meaningless)."""
     dx = coords[None, :, 0] - coords[:, None, 0]
@@ -46,17 +54,7 @@ def _wedge_rule(
     dist = np.hypot(dx, dy)
     ang = np.arctan2(dy, dx)
     diff = np.abs(np.mod(ang - theta[:, None] + math.pi, TAU) - math.pi)
-    return dist, diff <= 0.5 * alpha + eps
-
-
-def _adjacency_matrix(
-    coords: np.ndarray, theta: np.ndarray, alpha: float, r: float, eps: float = EPS
-) -> np.ndarray:
-    """Boolean matrix: adj[a, b] iff b is in a's wedge."""
-    dist, in_wedge = _wedge_rule(coords, theta, alpha, eps)
-    adj = (dist <= r + eps) & in_wedge
-    np.fill_diagonal(adj, False)
-    return adj
+    return dist, diff <= 0.5 * alpha + EPS
 
 
 def _theta_array(points: Sequence[Point], assignment: OrientationAssignment) -> np.ndarray:
@@ -77,15 +75,14 @@ def build_comm_graph(
     """
     pts = sorted(points, key=lambda p: p.id)
     r = assignment.guaranteed_radius if r_override is None else r_override
-    if len(pts) == 0:
-        return CommGraph(0, {})
-    adj = _adjacency_matrix(as_coords(pts), _theta_array(pts, assignment), assignment.alpha, r)
-    out = {i: frozenset(np.flatnonzero(adj[i]).tolist()) for i in range(len(pts))}
-    return CommGraph(n=len(pts), out_edges=out)
+    dist, in_wedge = _wedge_rule(as_coords(pts), _theta_array(pts, assignment), assignment.alpha)
+    adj = (dist <= r + EPS) & in_wedge
+    np.fill_diagonal(adj, False)
+    return CommGraph(adj)
 
 
 def tarjan_scc_count(n: int, out_edges: Dict[int, FrozenSet[int]]) -> int:
-    """Number of strongly connected components (iterative Tarjan)."""
+    """Number of strongly connected components (iterative Tarjan), for reports."""
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -129,41 +126,47 @@ def tarjan_scc_count(n: int, out_edges: Dict[int, FrozenSet[int]]) -> int:
     return sccs
 
 
+def _row_masks(adj: np.ndarray) -> List[int]:
+    """Row i of a boolean matrix as an int with bit j set iff adj[i, j]."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _reach(masks: Sequence[int], start: int) -> int:
+    """Bitmask of the nodes reachable from ``start``; masks[v] is v's out-neighbours."""
+    reach = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~reach
+        reach |= frontier
+    return reach
+
+
+def _masks_strongly_connected(masks: Sequence[int], n: int) -> bool:
+    """Every node reaches every node."""
+    full = (1 << n) - 1
+    return all(_reach(masks, s) == full for s in range(n))
+
+
 def strongly_connected(g: CommGraph) -> bool:
-    """True iff the graph has exactly one SCC (a single node passes)."""
+    """Node 0 reaches every node and every node reaches node 0."""
     if g.n <= 1:
         return True
-    return tarjan_scc_count(g.n, g.out_edges) == 1
-
-
-def _reaches_all(adj: np.ndarray, start: int = 0) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = nxt
-    return bool(seen.all())
-
-
-def _strong_matrix(adj: np.ndarray) -> bool:
-    """Strong connectivity via forward and backward reachability from node 0."""
-    if adj.shape[0] <= 1:
-        return True
-    return _reaches_all(adj) and _reaches_all(adj.T)
+    full = (1 << g.n) - 1
+    return _reach(_row_masks(g.adj), 0) == full and _reach(_row_masks(g.adj.T), 0) == full
 
 
 def is_strongly_connected_at(
     points: Sequence[Point], assignment: OrientationAssignment, r: float
 ) -> bool:
-    """Fast strong-connectivity decision at an explicit radius."""
-    pts = sorted(points, key=lambda p: p.id)
-    if len(pts) <= 1:
+    """Strong-connectivity decision at an explicit radius."""
+    if len(points) <= 1:
         return True
-    adj = _adjacency_matrix(as_coords(pts), _theta_array(pts, assignment), assignment.alpha, r)
-    return _strong_matrix(adj)
+    return strongly_connected(build_comm_graph(points, assignment, r_override=r))
 
 
 def _bottleneck_level(w: np.ndarray) -> float:
@@ -369,25 +372,6 @@ def _coverage_mask(
         ) <= 0.5 * alpha + EPS:
             mask |= 1 << j
     return mask
-
-
-def _masks_strongly_connected(masks: Sequence[int], n: int) -> bool:
-    full = (1 << n) - 1
-    for s in range(n):
-        reach = 1 << s
-        frontier = reach
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= masks[v]
-            frontier = nxt & ~reach
-            reach |= nxt
-        if reach != full:
-            return False
-    return True
 
 
 def feasible_by_bruteforce(

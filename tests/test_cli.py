@@ -97,6 +97,51 @@ class TestVerifyCommand:
         assert code == 2 and stdout == ""
         assert f"{orient}:{line}: " in err and "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("alpha 100.0\nradius 1.0\n0 0.0\n1 3.14\n", 1, "alpha must lie in (0, 2*pi]"),
+            ("alpha -1.0\nradius 1.0\n0 0.0\n1 3.14\n", 1, "alpha must lie in (0, 2*pi]"),
+            ("alpha 0.0\nradius 1.0\n0 0.0\n1 3.14\n", 1, "alpha must lie in (0, 2*pi]"),
+            ("alpha 3.14\nradius -2.0\n0 0.0\n1 3.14\n", 2, "radius must be non-negative"),
+        ],
+        ids=["alpha-100", "alpha-negative", "alpha-zero", "radius-negative"],
+    )
+    def test_out_of_range_orientation_exit_2(self, tmp_path, capsys, text, line, message):
+        src = tmp_path / "pts.txt"
+        orient = tmp_path / "orient.txt"
+        write_points(src, [Point(0, 0, 0), Point(1, 1, 0)])
+        orient.write_text(text)
+        code, stdout, err = run(capsys, "verify", "--input", str(src), "--orientation", str(orient))
+        assert code == 2 and stdout == ""
+        assert f"{orient}:{line}: {message}" in err
+
+    @pytest.mark.parametrize("command", ["verify", "plot"])
+    @pytest.mark.parametrize("radius", ["-1", "nan", "inf", "wide"])
+    def test_bad_radius_option_exit_2(self, tmp_path, capsys, command, radius):
+        src = tmp_path / "pts.txt"
+        orient = tmp_path / "orient.txt"
+        write_points(src, [Point(0, 0, 0), Point(1, 1, 0)])
+        orient.write_text("alpha 1.5707963267948966\nradius 1.0\n0 0.0\n1 3.141592653589793\n")
+        argv = [command, "--input", str(src), "--orientation", str(orient), "--radius", radius]
+        if command == "plot":
+            argv += ["--out", str(tmp_path / "fig.svg")]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "argument --radius: " in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_range_ends_accepted_and_radius_overrides_file(self, tmp_path, capsys):
+        src = tmp_path / "pts.txt"
+        orient = tmp_path / "orient.txt"
+        write_points(src, [Point(0, 0, 0), Point(1, 1, 0)])
+        orient.write_text(f"alpha {2 * math.pi!r}\nradius 0.0\n0 0.0\n1 0.0\n")
+        code, stdout, _ = run(capsys, "verify", "--input", str(src), "--orientation", str(orient))
+        assert code == 1 and "NOT-STRONG sccs=2" in stdout
+        code, stdout, _ = run(capsys, "verify", "--input", str(src), "--orientation", str(orient), "--radius", "1")
+        assert code == 0 and "STRONG sccs=1" in stdout
+
 
 class TestWitnessCommand:
     def test_collinear_four(self, tmp_path, capsys):

@@ -81,6 +81,30 @@ class TestOrientationFile:
         back = read_orientation(path)
         assert back.theta[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("alpha 100.0\nradius 1.0\n0 1.0\n", 1),
+            ("alpha -1.0\nradius 1.0\n0 1.0\n", 1),
+            ("alpha 0.0\nradius 1.0\n0 1.0\n", 1),
+            ("alpha 6.283185307179587\nradius 1.0\n0 1.0\n", 1),
+            ("alpha 3.14\nradius -2.0\n0 1.0\n", 2),
+            ("radius -1e-300\nalpha 3.14\n0 1.0\n", 1),
+        ],
+    )
+    def test_header_out_of_range_reports_line(self, tmp_path, text, line):
+        path = tmp_path / "orient.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_orientation(path)
+        assert err.value.line == line
+
+    def test_header_range_ends_accepted(self, tmp_path):
+        path = tmp_path / "orient.txt"
+        path.write_text(f"alpha {2 * math.pi!r}\nradius 0.0\n0 1.0\n")
+        back = read_orientation(path)
+        assert back.alpha == 2 * math.pi and back.guaranteed_radius == 0.0
+
     def test_malformed_header_value_reports_line(self, tmp_path):
         path = tmp_path / "orient.txt"
         path.write_text("alpha 3.14\nradius wide\n0 1.0\n")

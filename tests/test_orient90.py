@@ -261,6 +261,7 @@ class TestOrientAll90:
             assert r is not None and r <= RADIUS_90 + 1e-9
             if a.diagnostics["all_groups_full"]:
                 assert a.diagnostics["applicable_bound"] == 5.0
+            assert r <= a.diagnostics["applicable_bound"] + 1e-9
 
     def test_odd_collinear_groups_strong_at_seven(self):
         # the last point of a collinear group faces back along the line; with

@@ -16,6 +16,9 @@ from sectornet.orient180 import orient_all_180
 from sectornet.orient90 import orient_all_90
 from sectornet.orientation import OrientationAssignment
 from sectornet.verifier import (
+    CommGraph,
+    _masks_strongly_connected,
+    _row_masks,
     build_comm_graph,
     covers_plane,
     feasible_by_bruteforce,
@@ -32,10 +35,10 @@ def P(i, x, y):
 
 
 def graph_from(edges, n):
-    out = {i: frozenset(b for a, b in edges if a == i) for i in range(n)}
-    from sectornet.verifier import CommGraph
-
-    return CommGraph(n=n, out_edges=out)
+    adj = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        adj[a, b] = True
+    return CommGraph(adj)
 
 
 class TestBuildCommGraph:
@@ -100,6 +103,66 @@ class TestStronglyConnected:
 
     def test_scc_count(self):
         assert tarjan_scc_count(4, {0: frozenset({1}), 1: frozenset({0}), 2: frozenset({3}), 3: frozenset()}) == 3
+
+
+def agree(adj):
+    """The bitmask reach, run both ways, against Tarjan and the per-start BFS
+    oracle; returns the common verdict."""
+    n = len(adj)
+    g = CommGraph(adj)
+    verdict = strongly_connected(g)
+    # Tarjan counts no component at all on the empty graph
+    assert verdict == (tarjan_scc_count(n, g.out_edges) <= 1)
+    assert verdict == bfs_strongly_connected(n, g.out_edges)
+    assert verdict == _masks_strongly_connected(_row_masks(adj), n)
+    return verdict
+
+
+class TestReachMatchesReferences:
+    """n on either side of the byte (8) and word (64) boundaries of the
+    packed rows."""
+
+    SIZES = (0, 1, 2, 7, 8, 9, 63, 64, 65, 130)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(6)
+        for n in self.SIZES:
+            verdicts = set()
+            for density in (0.0, 0.5 / max(n, 1), 2.0 / max(n, 1), 4.0 / max(n, 1), 0.3, 1.0):
+                for _ in range(8):
+                    verdicts.add(agree(rng.random((n, n)) < density))
+            if n >= 2:
+                assert verdicts == {True, False}, n
+
+    @pytest.mark.parametrize("n", SIZES[2:])
+    def test_cycle_missing_one_edge(self, n):
+        # a directed cycle is strong; without the edge into a node nothing
+        # reaches that node, wherever it sits in the packed row
+        cycle = np.zeros((n, n), dtype=bool)
+        cycle[np.arange(n), (np.arange(n) + 1) % n] = True
+        assert agree(cycle)
+        for v in {0, 1, n // 2, n - 2, n - 1}:
+            cut = cycle.copy()
+            cut[(v - 1) % n, v] = False
+            assert not agree(cut)
+            assert not agree(cut.T.copy())
+
+    def test_comm_graphs_at_and_below_min_strong_radius(self):
+        # acceptance-suite instances: strong at r*, not strong at the next
+        # smaller pairwise distance
+        checked = 0
+        for seed in range(0, 1000, 50):
+            n = 5 + seed % 196
+            pts = random_connected_udg(n, seed, max(1.0, math.sqrt(n)))
+            for a in (orient_all_180(pts), orient_all_90(pts)):
+                r = min_strong_radius(pts, a)
+                assert agree(build_comm_graph(pts, a, r_override=r).adj)
+                dists = np.unique([p.dist(q) for p in pts for q in pts if p.id < q.id])
+                below = dists[dists < r]
+                if len(below):
+                    assert not agree(build_comm_graph(pts, a, r_override=float(below[-1])).adj)
+                    checked += 1
+        assert checked >= 30
 
 
 class TestMinStrongRadius:

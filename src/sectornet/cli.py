@@ -43,6 +43,18 @@ def nonnegative(text: str) -> float:
     return value
 
 
+def at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectornet",
@@ -76,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="random end-to-end orient+verify trials")
     p.add_argument("--alpha", type=int, choices=(90, 180), required=True)
-    p.add_argument("--n", type=int, required=True, help="points per trial")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--n", type=at_least(2), required=True, help="points per trial")
+    p.add_argument("--trials", type=at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

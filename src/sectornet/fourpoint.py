@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotGeneralPosition, SearchExhausted
-from .geometry import Point, QuadKind, classify_quad, normalize_angle
+from .geometry import Point, QuadKind, Wedge, classify_quad, normalize_angle
 from .orientation import OrientationAssignment
 from .verifier import (
-    _coverage_mask,
+    _coverage_masks,
     _masks_strongly_connected,
     covers_plane,
     is_strongly_connected_at,
@@ -137,13 +138,6 @@ def _nonconvex_thetas(tri: Tuple[Point, ...], t: Point) -> Optional[Dict[int, fl
     return None
 
 
-def _passes(pts: Sequence[Point], theta: Dict[int, float], dmax: float) -> bool:
-    assignment = OrientationAssignment(alpha=QUARTER, theta=theta, guaranteed_radius=dmax)
-    if not is_strongly_connected_at(pts, assignment, dmax):
-        return False
-    return covers_plane(assignment.wedges(sorted(pts, key=lambda p: p.id)))
-
-
 def orient_four(points: Sequence[Point]) -> FourPointResult:
     """Constructive orientation for four points in general position.
 
@@ -163,9 +157,12 @@ def orient_four(points: Sequence[Point]) -> FourPointResult:
     else:
         case = "nonconvex"
         theta = _nonconvex_thetas(qc.hull, qc.interior)
-    if theta is None or not _passes(pts, theta, dmax):
-        return search_orient_four(points)
-    return FourPointResult(theta=theta, dmax=dmax, case=case)
+    if theta is not None:
+        res = FourPointResult(theta=theta, dmax=dmax, case=case)
+        a = res.assignment()
+        if is_strongly_connected_at(pts, a, dmax) and covers_plane(a.wedges(pts)):
+            return res
+    return search_orient_four(points)
 
 
 def _search_grid(pts: Sequence[Point]) -> List[float]:
@@ -194,7 +191,8 @@ def _lattice_ok(ta: float, tb: float) -> bool:
 
 def search_cover_orientation(points: Sequence[Point], r: float) -> Optional[Dict[int, float]]:
     """First boundary-aligned four-wedge assignment that covers the plane and
-    is strongly connected at radius r; None when the grid holds none.
+    is strongly connected at radius r, judged from the points' coverage masks
+    over the grid; None when the grid holds none.
 
     Unlike the constructive rules this makes no general-position assumption,
     so it also serves degenerate quadruples as long as some plane-tiling
@@ -202,26 +200,17 @@ def search_cover_orientation(points: Sequence[Point], r: float) -> Optional[Dict
     """
     pts = sorted(points, key=lambda p: p.id)
     grid = _search_grid(pts)
-    masks = {(i, t): _coverage_mask(pts, i, t, QUARTER, r) for i in range(4) for t in grid}
+    masks = [dict(zip(grid, _coverage_masks(pts, i, grid, QUARTER, r))) for i in range(4)]
 
     for t0 in grid:
-        if masks[(0, t0)] == 0:
+        if masks[0][t0] == 0:
             continue
-        for t1 in grid:
-            if masks[(1, t1)] == 0 or not _lattice_ok(t0, t1):
+        rest = [[t for t in grid if masks[i][t] and _lattice_ok(t0, t)] for i in (1, 2, 3)]
+        for combo in product([t0], *rest):
+            if not _masks_strongly_connected([masks[i][t] for i, t in enumerate(combo)], 4):
                 continue
-            for t2 in grid:
-                if masks[(2, t2)] == 0 or not _lattice_ok(t0, t2):
-                    continue
-                for t3 in grid:
-                    if masks[(3, t3)] == 0 or not _lattice_ok(t0, t3):
-                        continue
-                    combo = (t0, t1, t2, t3)
-                    if not _masks_strongly_connected([masks[(i, combo[i])] for i in range(4)], 4):
-                        continue
-                    theta = {pts[i].id: combo[i] for i in range(4)}
-                    if _passes(pts, theta, r):
-                        return theta
+            if covers_plane([Wedge(p, t, QUARTER, r) for p, t in zip(pts, combo)]):
+                return {p.id: t for p, t in zip(pts, combo)}
     return None
 
 

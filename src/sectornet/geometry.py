@@ -120,7 +120,7 @@ def cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> f
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def collinear(a: Point, b: Point, c: Point, rel: float = COLLINEAR_REL) -> bool:
+def collinear(a: Point, b: Point, c: Point) -> bool:
     """True when the doubled triangle area is negligible at the triple's own scale."""
     area2 = abs(cross(a.x, a.y, b.x, b.y, c.x, c.y))
     xs = (a.x, b.x, c.x)
@@ -128,7 +128,7 @@ def collinear(a: Point, b: Point, c: Point, rel: float = COLLINEAR_REL) -> bool:
     diag_sq = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
     if diag_sq == 0.0:
         return True
-    return area2 < rel * diag_sq
+    return area2 < COLLINEAR_REL * diag_sq
 
 
 def project_onto_segment(q: Point, a: Point, b: Point) -> Tuple[float, bool]:

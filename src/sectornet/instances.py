@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List
 
 from .geometry import EPS, Point
-from .verifier import _coverage_mask, candidate_bisectors
+from .verifier import _coverage_masks, candidate_bisectors
 
 SQRT3 = math.sqrt(3.0)
 
@@ -93,8 +93,8 @@ def check_witness_180(w: Witness180, r: float) -> bool:
         return False
 
     alpha = math.pi
-    for theta in candidate_bisectors(pts, w.p_id, alpha):
-        mask = _coverage_mask(pts, w.p_id, theta, alpha, r)
+    thetas = candidate_bisectors(pts, w.p_id, alpha)
+    for mask in _coverage_masks(pts, w.p_id, thetas, alpha, r):
         covered = {q.id for j, q in enumerate(pts) if mask >> j & 1}
         if len(covered) > 2 or not covered <= neighbors:
             return False

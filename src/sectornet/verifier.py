@@ -1,7 +1,8 @@
 """Ground truth for constructions: communication graphs, strong connectivity,
 minimum strong radius, plane coverage, and brute-force feasibility.
 
-The communication graph has an edge a -> b exactly when b lies in a's wedge;
+One closed-wedge rule, ``_wedge_rule``, decides every coverage question. The
+communication graph has an edge a -> b exactly when b lies in a's wedge;
 ``CommGraph`` holds it as a boolean adjacency matrix. Every strong-connectivity
 decision is one bitmask reach: each node's out-neighbours form one Python int,
 and a graph is strongly connected when node 0 reaches every node forwards and
@@ -20,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MissingOrientation, TooManyPoints
-from .geometry import EPS, TAU, Point, Wedge, angle_diff, normalize_angle
+from .geometry import EPS, TAU, Point, Wedge, normalize_angle
 from .orientation import OrientationAssignment
 from .topology import as_coords
 
@@ -46,22 +47,32 @@ class CommGraph:
         return {i: frozenset(np.flatnonzero(row).tolist()) for i, row in enumerate(self.adj)}
 
 
-def _wedge_rule(coords: np.ndarray, theta: np.ndarray, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Distance matrix and in_wedge[a, b]: the direction a -> b lies in a's
-    closed wedge, at any radius (the diagonal is meaningless)."""
-    dx = coords[None, :, 0] - coords[:, None, 0]
-    dy = coords[None, :, 1] - coords[:, None, 1]
+def _wedge_rule(
+    apex: np.ndarray, theta: np.ndarray, alpha: float | np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """dist[k, j] from apex k to target j, and inside[k, j]: the direction
+    k -> j lies in the closed wedge with bisector theta[k] and aperture alpha
+    (one scalar, or a column with one per apex), at any radius. One apex row
+    broadcasts against every theta. ``inside`` is meaningless where dist is 0."""
+    dx = targets[None, :, 0] - apex[:, None, 0]
+    dy = targets[None, :, 1] - apex[:, None, 1]
     dist = np.hypot(dx, dy)
     ang = np.arctan2(dy, dx)
     diff = np.abs(np.mod(ang - theta[:, None] + math.pi, TAU) - math.pi)
     return dist, diff <= 0.5 * alpha + EPS
 
 
-def _theta_array(points: Sequence[Point], assignment: OrientationAssignment) -> np.ndarray:
-    missing = [p.id for p in points if p.id not in assignment.theta]
+def _assignment_wedge_rule(
+    points: Sequence[Point], assignment: OrientationAssignment
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``_wedge_rule`` of every point against every point, in id order."""
+    pts = sorted(points, key=lambda p: p.id)
+    missing = [p.id for p in pts if p.id not in assignment.theta]
     if missing:
         raise MissingOrientation(f"no orientation for point ids {missing}")
-    return np.array([assignment.theta[p.id] for p in points], dtype=float)
+    theta = np.array([assignment.theta[p.id] for p in pts], dtype=float)
+    coords = as_coords(pts)
+    return _wedge_rule(coords, theta, assignment.alpha, coords)
 
 
 def build_comm_graph(
@@ -73,10 +84,9 @@ def build_comm_graph(
 
     ``r_override`` replaces the assignment's radius when given.
     """
-    pts = sorted(points, key=lambda p: p.id)
     r = assignment.guaranteed_radius if r_override is None else r_override
-    dist, in_wedge = _wedge_rule(as_coords(pts), _theta_array(pts, assignment), assignment.alpha)
-    adj = (dist <= r + EPS) & in_wedge
+    dist, inside = _assignment_wedge_rule(points, assignment)
+    adj = (dist <= r + EPS) & inside
     np.fill_diagonal(adj, False)
     return CommGraph(adj)
 
@@ -164,8 +174,6 @@ def is_strongly_connected_at(
     points: Sequence[Point], assignment: OrientationAssignment, r: float
 ) -> bool:
     """Strong-connectivity decision at an explicit radius."""
-    if len(points) <= 1:
-        return True
     return strongly_connected(build_comm_graph(points, assignment, r_override=r))
 
 
@@ -201,12 +209,11 @@ def min_strong_radius(
     of the sorted distances with ``is_strongly_connected_at`` finds, also when
     distances lie within EPS of each other. None when no radius suffices.
     """
-    pts = sorted(points, key=lambda p: p.id)
-    if len(pts) <= 1:
+    dist, inside = _assignment_wedge_rule(points, assignment)
+    if len(dist) <= 1:
         return 0.0
-    dist, in_wedge = _wedge_rule(as_coords(pts), _theta_array(pts, assignment), assignment.alpha)
     np.fill_diagonal(dist, np.inf)
-    w = np.where(in_wedge, dist, np.inf)
+    w = np.where(inside, dist, np.inf)
     b = max(_bottleneck_level(w), _bottleneck_level(w.T))
     if b == np.inf:
         return None
@@ -218,13 +225,13 @@ def min_strong_radius(
 # ---------------------------------------------------------------------------
 
 
-def _interval_cover_circle(intervals: List[Tuple[float, float]], eps: float = EPS) -> bool:
+def _interval_cover_circle(intervals: List[Tuple[float, float]]) -> bool:
     """Do closed arcs [start, start+width] jointly cover the full circle?"""
     if not intervals:
         return False
     arcs = []
     for s, w in intervals:
-        if w >= TAU - eps:
+        if w >= TAU - EPS:
             return True
         s = normalize_angle(s)
         arcs.append((s, s + w))
@@ -232,10 +239,10 @@ def _interval_cover_circle(intervals: List[Tuple[float, float]], eps: float = EP
     arcs.sort()
     reach = 0.0
     for s, e in arcs:
-        if s > reach + eps:
+        if s > reach + EPS:
             break
         reach = max(reach, e)
-        if reach >= TAU - eps:
+        if reach >= TAU - EPS:
             return True
     return False
 
@@ -316,16 +323,11 @@ def covers_plane(wedges: Sequence[Wedge]) -> bool:
             candidates.append((sx + delta * nx, sy + delta * ny))
             candidates.append((sx - delta * nx, sy - delta * ny))
 
-    pts = np.asarray(candidates)
-    apex = np.array([(w.apex.x, w.apex.y) for w in wedges])
+    apex = as_coords([w.apex for w in wedges])
     theta = np.array([w.theta for w in wedges])
-    half = np.array([0.5 * w.alpha for w in wedges])
-    dx = pts[:, None, 0] - apex[None, :, 0]
-    dy = pts[:, None, 1] - apex[None, :, 1]
-    ang = np.arctan2(dy, dx)
-    diff = np.abs(np.mod(ang - theta[None, :] + math.pi, TAU) - math.pi)
-    ok = (diff <= half[None, :] + EPS) | ((dx == 0.0) & (dy == 0.0))
-    return bool(ok.any(axis=1).all())
+    alpha = np.array([[w.alpha] for w in wedges])
+    dist, inside = _wedge_rule(apex, theta, alpha, np.asarray(candidates))
+    return bool((inside | (dist == 0.0)).any(axis=0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +361,16 @@ def candidate_bisectors(
     return sorted(cand)
 
 
-def _coverage_mask(
-    points: Sequence[Point], i: int, theta: float, alpha: float, r: float
-) -> int:
-    mask = 0
-    p = points[i]
-    for j, q in enumerate(points):
-        if j == i:
-            continue
-        if p.dist(q) <= r + EPS and angle_diff(
-            math.atan2(q.y - p.y, q.x - p.x), theta
-        ) <= 0.5 * alpha + EPS:
-            mask |= 1 << j
-    return mask
+def _coverage_masks(
+    points: Sequence[Point], i: int, thetas: Sequence[float], alpha: float, r: float
+) -> List[int]:
+    """For each bisector in ``thetas``, the bitmask of the points (by index)
+    that point i's wedge covers at radius r."""
+    coords = as_coords(points)
+    dist, inside = _wedge_rule(coords[i : i + 1], np.asarray(thetas, dtype=float), alpha, coords)
+    covered = inside & (dist <= r + EPS)
+    covered[:, i] = False
+    return _row_masks(covered)
 
 
 def feasible_by_bruteforce(
@@ -394,10 +393,9 @@ def feasible_by_bruteforce(
     options: List[List[Tuple[int, float]]] = []
     for i in range(n):
         by_mask: Dict[int, float] = {}
-        for th in candidate_bisectors(pts, i, alpha):
-            m = _coverage_mask(pts, i, th, alpha, r)
-            if m not in by_mask:
-                by_mask[m] = th
+        thetas = candidate_bisectors(pts, i, alpha)
+        for th, m in zip(thetas, _coverage_masks(pts, i, thetas, alpha, r)):
+            by_mask.setdefault(m, th)
         options.append(sorted(by_mask.items(), key=lambda kv: kv[1]))
 
     for combo in product(*options):

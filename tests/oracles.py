@@ -3,10 +3,11 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes. Four are reference implementations kept for differential
+coverage probes. Five are reference implementations kept for differential
 tests: the binary search for the minimum strong radius, the quadratic
-random-UDG generator, and the two quadratic tree groupings that walk the
-whole residual tree again after every removal.
+random-UDG generator, the two quadratic tree groupings that walk the whole
+residual tree again after every removal, and the per-point coverage-mask
+loop over ``math.hypot`` and ``angle_diff``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from sectornet.geometry import Point
+from sectornet.geometry import EPS, Point, angle_diff
 from sectornet.orient180 import Group180
 from sectornet.orient90 import Group90, choose_representatives
 from sectornet.orientation import OrientationAssignment
@@ -96,6 +97,23 @@ def bfs_strongly_connected(n: int, out_edges: Dict[int, Iterable[int]]) -> bool:
         if len(seen) != n:
             return False
     return True
+
+
+def loop_coverage_mask(
+    points: Sequence[Point], i: int, theta: float, alpha: float, r: float
+) -> int:
+    """Bitmask of the points (by index) that point i's wedge with bisector
+    theta covers at radius r, one scalar test per point."""
+    mask = 0
+    p = points[i]
+    for j, q in enumerate(points):
+        if j == i:
+            continue
+        if p.dist(q) <= r + EPS and angle_diff(
+            math.atan2(q.y - p.y, q.x - p.x), theta
+        ) <= 0.5 * alpha + EPS:
+            mask |= 1 << j
+    return mask
 
 
 def tree_edges_cross(coords: np.ndarray, edges: Sequence[Tuple[int, int]]) -> bool:

@@ -211,6 +211,18 @@ class TestExperimentCommand:
         assert code == 0
         assert "passed 0/0" in stdout
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--n", v) for v in ("-1", "0", "1", "-3", "abc")] + [("--trials", v) for v in ("-1", "-3", "abc")],
+    )
+    def test_bad_count_exit_2(self, capsys, option, value):
+        counts = {"--n": "10", "--trials": "2", option: value}
+        with pytest.raises(SystemExit) as exit_:
+            main(["experiment", "--alpha", "90", "--n", counts["--n"], "--trials", counts["--trials"]])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {option}: " in captured.err
+
 
 class TestDeterminism:
     def test_outputs_byte_identical(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from sectornet.verifier import (
     build_comm_graph,
     covers_plane,
     feasible_by_bruteforce,
+    is_strongly_connected_at,
     min_strong_radius,
     strongly_connected,
     tarjan_scc_count,
@@ -76,6 +77,29 @@ class TestBuildCommGraph:
             g2 = build_comm_graph(pts, a, r_override=r2)
             for v in g1.out_edges:
                 assert g1.out_edges[v] <= g2.out_edges[v]
+
+
+class TestAtMostOnePoint:
+    """build_comm_graph, min_strong_radius and is_strongly_connected_at agree
+    on n <= 1: every point needs a theta, and such a graph is strong."""
+
+    @pytest.mark.parametrize("pts, theta", [([], {}), ([], {0: 1.0}), ([P(0, 3, 4)], {0: 1.0})])
+    def test_oriented(self, pts, theta):
+        a = OrientationAssignment(alpha=PI / 2, theta=theta, guaranteed_radius=1.0)
+        assert build_comm_graph(pts, a).n == len(pts)
+        assert min_strong_radius(pts, a) == 0.0
+        assert is_strongly_connected_at(pts, a, 1.0)
+
+    @pytest.mark.parametrize("theta", [{}, {1: 1.0}])
+    def test_one_point_without_theta(self, theta):
+        a = OrientationAssignment(alpha=PI / 2, theta=theta, guaranteed_radius=1.0)
+        pts = [P(0, 3, 4)]
+        with pytest.raises(MissingOrientation):
+            build_comm_graph(pts, a)
+        with pytest.raises(MissingOrientation):
+            min_strong_radius(pts, a)
+        with pytest.raises(MissingOrientation):
+            is_strongly_connected_at(pts, a, 1.0)
 
 
 class TestStronglyConnected:

@@ -21,7 +21,7 @@ from .fourpoint import orient_four, search_cover_orientation
 from .geometry import Point, QuadKind, TAU, classify_quad, collinear, direction, normalize_angle
 from .orientation import OrientationAssignment
 from .topology import RootedTree, bounded_degree_mst, carve, check_point_ids
-from .verifier import is_strongly_connected_at
+from .verifier import certify_groups, is_strongly_connected_at
 
 RADIUS_90 = 7.0
 RADIUS_SMALL = 2.0
@@ -207,8 +207,11 @@ def _general_position_reps(
 
 
 def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
-    """Orient every antenna (aperture 90 degrees); verified strongly connected
-    at radius 7, raising ConstructionInvariantViolated otherwise.
+    """Orient every antenna (aperture 90 degrees) for strong connectivity at
+    radius 7. The result certifies itself through its groups, the root
+    remainder being one more (``certify_groups``); if that certificate fails,
+    the dense ``is_strongly_connected_at`` decides, and a failure there raises
+    ConstructionInvariantViolated.
 
     DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
     decides the unit disk graph precondition (via orient_small for two or
@@ -276,7 +279,11 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
             "applicable_bound": 5.0 if not remainder else 7.0,
         },
     )
-    if not is_strongly_connected_at(pts, assignment, RADIUS_90):
+    group_tree = [(g.members, g.attach_parent) for g in final_groups] + [(remainder, None)]
+    if not (
+        certify_groups(pts, assignment, group_tree)
+        or is_strongly_connected_at(pts, assignment, RADIUS_90)
+    ):
         raise ConstructionInvariantViolated(
             "90-degree construction not strongly connected at r=7; "
             "preserve this instance as a regression fixture"

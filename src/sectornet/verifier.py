@@ -1,13 +1,18 @@
 """Ground truth for constructions: communication graphs, strong connectivity,
-minimum strong radius, plane coverage, and brute-force feasibility.
+group certificates, minimum strong radius, plane coverage, and brute-force
+feasibility.
 
 One closed-wedge rule, ``_wedge_rule``, decides every coverage question. The
 communication graph has an edge a -> b exactly when b lies in a's wedge;
 ``CommGraph`` holds it as a boolean adjacency matrix. Every strong-connectivity
 decision is one bitmask reach: each node's out-neighbours form one Python int,
 and a graph is strongly connected when node 0 reaches every node forwards and
-backwards. The minimum strong radius comes from two bottleneck (minimax)
-reachability sweeps over the wedge-restricted distances.
+backwards. The constructions check themselves with ``certify_groups``, which
+tests only pairs of nodes in groups near each other in their group tree: the
+edges it keeps are edges of the communication graph, so a strongly connected
+certificate proves the whole graph strongly connected without building it.
+The minimum strong radius comes from two bottleneck (minimax) reachability
+sweeps over the wedge-restricted distances.
 """
 
 from __future__ import annotations
@@ -50,29 +55,45 @@ class CommGraph:
 def _wedge_rule(
     apex: np.ndarray, theta: np.ndarray, alpha: float | np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """dist[k, j] from apex k to target j, and inside[k, j]: the direction
-    k -> j lies in the closed wedge with bisector theta[k] and aperture alpha
-    (one scalar, or a column with one per apex), at any radius. One apex row
-    broadcasts against every theta. ``inside`` is meaningless where dist is 0."""
-    dx = targets[None, :, 0] - apex[:, None, 0]
-    dy = targets[None, :, 1] - apex[:, None, 1]
+    """dist from each apex to its target, and inside: the direction apex ->
+    target lies in the closed wedge with bisector theta and aperture alpha, at
+    any radius. Elementwise: coordinates sit on the last axis of ``apex`` and
+    ``targets``, whose other axes broadcast to the result's shape, and
+    ``theta`` and ``alpha`` (one scalar, or one per apex) broadcast into it.
+    Pass ``apex[:, None]``, ``theta[:, None]`` and ``targets[None, :]`` for
+    every apex against every target. ``inside`` is meaningless where dist is 0."""
+    dx = targets[..., 0] - apex[..., 0]
+    dy = targets[..., 1] - apex[..., 1]
     dist = np.hypot(dx, dy)
-    ang = np.arctan2(dy, dx)
-    diff = np.abs(np.mod(ang - theta[:, None] + math.pi, TAU) - math.pi)
+    # the angular difference is folded into |.| <= pi in place, in dx
+    diff = np.arctan2(dy, dx, out=dx)
+    del dy
+    diff -= theta
+    diff += math.pi
+    np.mod(diff, TAU, out=diff)
+    diff -= math.pi
+    np.abs(diff, out=diff)
     return dist, diff <= 0.5 * alpha + EPS
+
+
+def _id_arrays(
+    points: Sequence[Point], assignment: OrientationAssignment
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Coordinates and bisectors of the points, in id order."""
+    pts = sorted(points, key=lambda p: p.id)
+    missing = [p.id for p in pts if p.id not in assignment.theta]
+    if missing:
+        raise MissingOrientation(f"no orientation for point ids {missing}")
+    theta = np.array([assignment.theta[p.id] for p in pts], dtype=float)
+    return as_coords(pts), theta
 
 
 def _assignment_wedge_rule(
     points: Sequence[Point], assignment: OrientationAssignment
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``_wedge_rule`` of every point against every point, in id order."""
-    pts = sorted(points, key=lambda p: p.id)
-    missing = [p.id for p in pts if p.id not in assignment.theta]
-    if missing:
-        raise MissingOrientation(f"no orientation for point ids {missing}")
-    theta = np.array([assignment.theta[p.id] for p in pts], dtype=float)
-    coords = as_coords(pts)
-    return _wedge_rule(coords, theta, assignment.alpha, coords)
+    coords, theta = _id_arrays(points, assignment)
+    return _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])
 
 
 def build_comm_graph(
@@ -175,6 +196,66 @@ def is_strongly_connected_at(
 ) -> bool:
     """Strong-connectivity decision at an explicit radius."""
     return strongly_connected(build_comm_graph(points, assignment, r_override=r))
+
+
+Groups = Sequence[Tuple[Sequence[int], Optional[int]]]
+
+
+def _certificate_edges(
+    points: Sequence[Point], assignment: OrientationAssignment, groups: Groups
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges a -> b of ``build_comm_graph(points, assignment)`` whose ends
+    lie in groups at most two edges apart in the group tree, as id arrays.
+
+    ``groups`` gives each group's member ids and the id of the node it hangs
+    from (None at the top); a group's parent in the group tree is the group
+    holding that node. Each group is paired once with itself, its parent, its
+    grandparent and its earlier siblings, which covers every pair of groups
+    at most two edges apart exactly once.
+    """
+    coords, theta = _id_arrays(points, assignment)
+    group_of = [0] * len(coords)
+    for g, (members, _) in enumerate(groups):
+        for v in members:
+            group_of[v] = g
+    up = [None if hang is None else group_of[hang] for _, hang in groups]
+    members = [list(m) for m, _ in groups]
+    earlier: Dict[int, List[int]] = {}  # members of the groups seen so far, by parent group
+    src: List[int] = []
+    dst: List[int] = []
+    for g, p in enumerate(up):
+        near: List[int] = []
+        if p is not None:
+            siblings = earlier.setdefault(p, [])
+            near = members[p] + siblings + (members[up[p]] if up[p] is not None else [])
+            siblings.extend(members[g])
+        for i, v in enumerate(members[g]):
+            others = members[g][i + 1 :] + near
+            src.extend([v] * len(others))
+            dst.extend(others)
+    a = np.array(src + dst, dtype=np.intp)
+    b = np.array(dst + src, dtype=np.intp)
+    dist, inside = _wedge_rule(coords[a], theta[a], assignment.alpha, coords[b])
+    keep = inside & (dist <= assignment.guaranteed_radius + EPS)
+    return a[keep], b[keep]
+
+
+def certify_groups(
+    points: Sequence[Point], assignment: OrientationAssignment, groups: Groups
+) -> bool:
+    """True when the edges of ``_certificate_edges`` alone connect the points
+    strongly. They are edges of the communication graph at the assignment's
+    radius, so True proves that graph strongly connected; False proves
+    nothing, and the dense ``is_strongly_connected_at`` has to decide."""
+    n = len(points)
+    out = [0] * n
+    into = [0] * n
+    a, b = _certificate_edges(points, assignment, groups)
+    for u, v in zip(a.tolist(), b.tolist()):
+        out[u] |= 1 << v
+        into[v] |= 1 << u
+    full = (1 << n) - 1
+    return _reach(out, 0) == full and _reach(into, 0) == full
 
 
 def _bottleneck_level(w: np.ndarray) -> float:
@@ -324,9 +405,9 @@ def covers_plane(wedges: Sequence[Wedge]) -> bool:
             candidates.append((sx - delta * nx, sy - delta * ny))
 
     apex = as_coords([w.apex for w in wedges])
-    theta = np.array([w.theta for w in wedges])
+    theta = np.array([[w.theta] for w in wedges])
     alpha = np.array([[w.alpha] for w in wedges])
-    dist, inside = _wedge_rule(apex, theta, alpha, np.asarray(candidates))
+    dist, inside = _wedge_rule(apex[:, None], theta, alpha, np.asarray(candidates)[None, :])
     return bool((inside | (dist == 0.0)).any(axis=0).all())
 
 
@@ -367,7 +448,11 @@ def _coverage_masks(
     """For each bisector in ``thetas``, the bitmask of the points (by index)
     that point i's wedge covers at radius r."""
     coords = as_coords(points)
-    dist, inside = _wedge_rule(coords[i : i + 1], np.asarray(thetas, dtype=float), alpha, coords)
+    # one apex row per bisector: the rule works in place on the apex-target shape
+    apex = np.repeat(coords[i : i + 1], len(thetas), axis=0)
+    dist, inside = _wedge_rule(
+        apex[:, None], np.asarray(thetas, dtype=float)[:, None], alpha, coords[None, :]
+    )
     covered = inside & (dist <= r + EPS)
     covered[:, i] = False
     return _row_masks(covered)

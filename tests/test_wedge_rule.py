@@ -100,7 +100,10 @@ class TestWedgeRuleMatchesPointInWedge:
                 wedge = Wedge(apex, theta, alpha, r)
                 targets = self.targets(rng, apex, wedge.theta, alpha, r)
                 dist, inside = _wedge_rule(
-                    np.array([[apex.x, apex.y]]), np.array([wedge.theta]), alpha, np.array(targets)
+                    np.array([[[apex.x, apex.y]]]),
+                    np.array([[wedge.theta]]),
+                    alpha,
+                    np.array(targets)[None, :],
                 )
                 got = (inside & (dist <= r + EPS) & (dist > 0.0))[0].tolist()
                 assert got == [point_in_wedge(wedge, Point(1, x, y)) for x, y in targets]
@@ -117,7 +120,9 @@ class TestWedgeRuleMatchesPointInWedge:
                 (1.0 - 2e-9, 0.0),
                 (0.0, 0.0),
             ]
-            dist, inside = _wedge_rule(np.zeros((1, 2)), np.zeros(1), alpha, np.array(targets))
+            dist, inside = _wedge_rule(
+                np.zeros((1, 1, 2)), np.zeros((1, 1)), alpha, np.array(targets)[None, :]
+            )
             got = (inside & (dist <= 1.0 + EPS) & (dist > 0.0))[0].tolist()
             assert got == [True, True, True, False, True, False]
             assert got == [point_in_wedge(wedge, Point(1, x, y)) for x, y in targets]
@@ -125,7 +130,9 @@ class TestWedgeRuleMatchesPointInWedge:
     def test_one_aperture_per_apex(self):
         apex = np.zeros((2, 2))
         target = np.array([[0.0, 1.0]])
-        _, inside = _wedge_rule(apex, np.zeros(2), np.array([[PI / 2], [PI]]), target)
+        _, inside = _wedge_rule(
+            apex[:, None], np.zeros((2, 1)), np.array([[PI / 2], [PI]]), target[None, :]
+        )
         assert inside[:, 0].tolist() == [False, True]
 
 

@@ -17,7 +17,6 @@ from .errors import (
     DisconnectedInput,
     DuplicatePoint,
     ParseError,
-    SearchExhausted,
     TooFewPoints,
     TooManyPoints,
 )
@@ -108,11 +107,17 @@ def cmd_orient(args) -> int:
     return EXIT_OK
 
 
+def read_orientation_for(points, path):
+    """The orientation file at ``path``, which must orient exactly the points' ids."""
+    assignment = read_orientation(path)
+    if set(assignment.theta) != {p.id for p in points}:
+        raise ParseError(path, 0, "orientation ids do not match point ids")
+    return assignment
+
+
 def cmd_verify(args) -> int:
     points = read_points(args.input)
-    assignment = read_orientation(args.orientation)
-    if set(assignment.theta) != {p.id for p in points}:
-        raise ParseError(args.orientation, 0, "orientation ids do not match point ids")
+    assignment = read_orientation_for(points, args.orientation)
     graph = build_comm_graph(points, assignment, r_override=args.radius)
     if strongly_connected(graph):
         print("STRONG sccs=1")
@@ -135,7 +140,7 @@ def cmd_witness(args) -> int:
 
 def cmd_plot(args) -> int:
     points = read_points(args.input)
-    assignment = read_orientation(args.orientation) if args.orientation else None
+    assignment = read_orientation_for(points, args.orientation) if args.orientation else None
     try:
         tree_edges = bounded_degree_mst(points).edges()
     except DisconnectedInput:
@@ -198,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DisconnectedInput, TooFewPoints, TooManyPoints) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ConstructionInvariantViolated, SearchExhausted) as exc:
+    except ConstructionInvariantViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

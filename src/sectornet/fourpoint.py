@@ -2,11 +2,11 @@
 points are strongly connected at radius = max pairwise distance while the
 wedges jointly cover every direction of the plane.
 
-The constructive rules reduce both cases to a canonical frame (one reference
-segment on the x-axis) where all four wedges are boundary-aligned quarter
-planes; the result is verified and, should the constructive rule miss a
-sub-case, an exhaustive boundary-aligned search supplies a passing
-assignment (one always exists for inputs in general position).
+The constructive rule (``four_point_thetas``) reduces both cases to a
+canonical frame (one reference segment on the x-axis) where all four wedges
+are boundary-aligned quarter planes; ``orient_four`` checks its result. The
+exhaustive boundary-aligned search (``search_cover_orientation``) is a
+separate route, which degenerate 90-degree groups and rule misses take.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import NotGeneralPosition, SearchExhausted
-from .geometry import Point, QuadKind, Wedge, classify_quad, normalize_angle
+from .errors import ConstructionInvariantViolated, NotGeneralPosition, SearchExhausted
+from .geometry import Point, QuadClass, QuadKind, Wedge, classify_quad, normalize_angle
 from .orientation import OrientationAssignment
 from .verifier import (
     _coverage_masks,
@@ -138,31 +138,39 @@ def _nonconvex_thetas(tri: Tuple[Point, ...], t: Point) -> Optional[Dict[int, fl
     return None
 
 
-def orient_four(points: Sequence[Point]) -> FourPointResult:
-    """Constructive orientation for four points in general position.
-
-    The output always satisfies both guarantees (strong connectivity at the
-    maximum pairwise distance, and full directional plane coverage); if the
-    constructive rule fails verification on some input, the exhaustive
-    search supplies a compliant assignment instead.
-    """
+def _prepare(points: Sequence[Point]) -> Tuple[QuadClass, List[Point], float, str]:
+    """Classification, id-sorted points, dmax and case of a general quadruple."""
     qc = classify_quad(points)
     if qc.kind is QuadKind.DEGENERATE:
         raise NotGeneralPosition("four points are not in general position")
     pts = sorted(points, key=lambda p: p.id)
-    dmax = _dmax(pts)
+    case = "convex" if qc.kind is QuadKind.CONVEX else "nonconvex"
+    return qc, pts, _dmax(pts), case
+
+
+def four_point_thetas(qc: QuadClass) -> Optional[Dict[int, float]]:
+    """The constructive rule's bisector per id, or None when no sub-case applies."""
     if qc.kind is QuadKind.CONVEX:
-        case = "convex"
-        theta = _convex_thetas(qc.hull)
-    else:
-        case = "nonconvex"
-        theta = _nonconvex_thetas(qc.hull, qc.interior)
+        return _convex_thetas(qc.hull)
+    return _nonconvex_thetas(qc.hull, qc.interior)
+
+
+def orient_four(points: Sequence[Point]) -> FourPointResult:
+    """Constructive orientation for four points in general position, checked
+    for strong connectivity at the maximum pairwise distance and for full
+    directional plane coverage; ConstructionInvariantViolated when the rule
+    misses or fails either check, never a silent fallback."""
+    qc, pts, dmax, case = _prepare(points)
+    theta = four_point_thetas(qc)
     if theta is not None:
         res = FourPointResult(theta=theta, dmax=dmax, case=case)
         a = res.assignment()
         if is_strongly_connected_at(pts, a, dmax) and covers_plane(a.wedges(pts)):
             return res
-    return search_orient_four(points)
+    raise ConstructionInvariantViolated(
+        f"four-point rule failed on a {case} quadruple; "
+        "preserve this instance as a regression fixture"
+    )
 
 
 def _search_grid(pts: Sequence[Point]) -> List[float]:
@@ -221,12 +229,7 @@ def search_orient_four(points: Sequence[Point]) -> FourPointResult:
     input (raised as SearchExhausted); a solution always exists for inputs
     in general position.
     """
-    qc = classify_quad(points)
-    if qc.kind is QuadKind.DEGENERATE:
-        raise NotGeneralPosition("four points are not in general position")
-    case = "convex" if qc.kind is QuadKind.CONVEX else "nonconvex"
-    pts = sorted(points, key=lambda p: p.id)
-    dmax = _dmax(pts)
+    _, pts, dmax, case = _prepare(points)
     theta = search_cover_orientation(pts, dmax)
     if theta is None:
         raise SearchExhausted("no boundary-aligned orientation found for four points")

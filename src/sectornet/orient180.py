@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConstructionInvariantViolated, TooFewPoints
+from .errors import TooFewPoints
 from .geometry import Point, cross, direction, normalize_angle
 from .orientation import OrientationAssignment
 from .topology import RootedTree, bounded_degree_mst, carve, check_point_ids
-from .verifier import certify_groups, is_strongly_connected_at
+from .verifier import check_construction
 
 RADIUS_180 = 1.0 + math.sqrt(3.0)
 
@@ -166,10 +166,9 @@ def plan_groups_180(points: Sequence[Point], t: RootedTree) -> Tuple[List[Group1
 
 def orient_all_180(points: Sequence[Point]) -> OrientationAssignment:
     """Orient every antenna (aperture 180 degrees) for strong connectivity at
-    radius 1 + sqrt(3). The result certifies itself through its groups
-    (``certify_groups``); if that certificate fails, the dense
-    ``is_strongly_connected_at`` decides, and a failure there raises
-    ConstructionInvariantViolated rather than returning silently.
+    radius 1 + sqrt(3). The result checks itself through its groups with
+    ``check_construction``, which raises ConstructionInvariantViolated rather
+    than returning a bad assignment.
 
     DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
     decides the unit disk graph precondition."""
@@ -185,12 +184,8 @@ def orient_all_180(points: Sequence[Point]) -> OrientationAssignment:
         diagnostics={"group_sizes": [g.size for g in groups]},
     )
     group_tree = [((g.parent,) + g.members, g.attached_above) for g in groups]
-    if not (
-        certify_groups(points, assignment, group_tree)
-        or is_strongly_connected_at(points, assignment, RADIUS_180)
-    ):
-        raise ConstructionInvariantViolated(
-            "180-degree construction not strongly connected at 1+sqrt(3); "
-            "preserve this instance as a regression fixture"
-        )
-    return assignment
+    return check_construction(
+        points, assignment, group_tree,
+        "180-degree construction not strongly connected at 1+sqrt(3); "
+        "preserve this instance as a regression fixture",
+    )

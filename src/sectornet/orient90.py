@@ -3,8 +3,8 @@
 Small inputs (two or three points) get direct constructions at radius 2.
 Otherwise the degree-5 spanning tree is carved bottom-up into subtrees of
 four or more nodes; in each subtree four representative nodes (always
-including the subtree root) are oriented by the four-point construction, and
-every other node simply aims at its closest representative. A leftover root
+including the subtree root) are oriented by the four-point rule, and every
+other node simply aims at its closest representative. A leftover root
 remainder of at most three nodes aims at the root of the adjacent group.
 """
 
@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionInvariantViolated, TooFewPoints, TooManyPoints
-from .fourpoint import orient_four, search_cover_orientation
-from .geometry import Point, QuadKind, TAU, classify_quad, collinear, direction, normalize_angle
+from .fourpoint import _dmax, four_point_thetas, search_cover_orientation
+from .geometry import Point, QuadClass, QuadKind, TAU, classify_quad, collinear, direction, normalize_angle
 from .orientation import OrientationAssignment
 from .topology import RootedTree, bounded_degree_mst, carve, check_point_ids
-from .verifier import certify_groups, is_strongly_connected_at
+from .verifier import check_construction
 
 RADIUS_90 = 7.0
 RADIUS_SMALL = 2.0
@@ -90,9 +90,7 @@ def orient_small(points: Sequence[Point]) -> OrientationAssignment:
     assignment = OrientationAssignment(
         alpha=ALPHA_90, theta=theta, guaranteed_radius=RADIUS_SMALL
     )
-    if not is_strongly_connected_at(pts, assignment, RADIUS_SMALL):
-        raise ConstructionInvariantViolated("small 90-degree case failed at r=2")
-    return assignment
+    return check_construction(pts, assignment, [(range(n), None)], "small 90-degree case failed at r=2")
 
 
 def extract_groups_90(t: RootedTree) -> Tuple[List[Group90], List[int]]:
@@ -184,34 +182,30 @@ def _line_thetas(pts: Sequence[Point]) -> Dict[int, float]:
 
 
 def _general_position_reps(
-    group: Group90, pts: Sequence[Point], children: Dict[int, List[int]]
-) -> Optional[Tuple[int, ...]]:
-    """Representative 4-set in general position, preferring the hop-objective
-    choice, then other root-containing subsets, then (degenerate corner)
-    subsets without the root."""
-    def ok(ids: Sequence[int]) -> bool:
-        return classify_quad([pts[i] for i in ids]).kind is not QuadKind.DEGENERATE
-
-    if ok(group.representatives):
-        return group.representatives
+    group: Group90, pts: Sequence[Point]
+) -> Optional[Tuple[Tuple[int, ...], QuadClass]]:
+    """Representative 4-set in general position and its classification,
+    preferring the hop-objective choice, then other root-containing subsets,
+    then (degenerate corner) subsets without the root."""
     ms = sorted(group.members)
     root = group.subtree_root
-    for triple in combinations([m for m in ms if m != root], 3):
-        reps = (root,) + triple
-        if ok(reps):
-            return reps
-    for quad in combinations(ms, 4):
-        if ok(quad):
-            return quad
+    for reps in chain(
+        [group.representatives],
+        ((root,) + triple for triple in combinations([m for m in ms if m != root], 3)),
+        combinations(ms, 4),
+    ):
+        qc = classify_quad([pts[i] for i in reps])
+        if qc.kind is not QuadKind.DEGENERATE:
+            return reps, qc
     return None
 
 
 def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
     """Orient every antenna (aperture 90 degrees) for strong connectivity at
-    radius 7. The result certifies itself through its groups, the root
-    remainder being one more (``certify_groups``); if that certificate fails,
-    the dense ``is_strongly_connected_at`` decides, and a failure there raises
-    ConstructionInvariantViolated.
+    radius 7. Groups in general position take the four-point rule unchecked;
+    degenerate groups and rule misses take the collinear line rule or the
+    plane-cover search. The result checks itself once, through its groups and
+    the root remainder (``check_construction``).
 
     DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
     decides the unit disk graph precondition (via orient_small for two or
@@ -230,30 +224,25 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
     final_groups: List[Group90] = []
     for g in groups:
         member_pts = [pts[i] for i in sorted(g.members)]
-        reps = _general_position_reps(g, pts, tree.children)
-        if reps is not None:
-            result = orient_four([pts[i] for i in reps])
-            theta.update(result.theta)
-            rep_dmax.append(result.dmax)
-        elif all(collinear(member_pts[0], member_pts[1], q) for q in member_pts[2:]):
+        reps, qc = _general_position_reps(g, pts) or (g.representatives, None)
+        found = None if qc is None else four_point_thetas(qc)
+        if found is None and all(collinear(member_pts[0], member_pts[1], q) for q in member_pts[2:]):
             theta.update(_line_thetas(member_pts))
             final_groups.append(replace(g, representatives=()))
             continue
-        else:
+        if found is None:
             # degenerate but not collinear (e.g. lattice groups where every
-            # root 4-subset has a collinear triple): fall back to the
+            # root 4-subset has a collinear triple), or a rule miss: the
             # plane-covering search at the full radius
-            reps = g.representatives
             found = search_cover_orientation([pts[i] for i in reps], RADIUS_90)
             if found is None:
                 raise ConstructionInvariantViolated(
                     "degenerate group admits no plane-covering orientation; "
                     "preserve this instance as a regression fixture"
                 )
-            theta.update(found)
-            rep_pts4 = [pts[i] for i in reps]
-            rep_dmax.append(max(a.dist(b) for a in rep_pts4 for b in rep_pts4))
+        theta.update(found)
         rep_pts = [pts[i] for i in reps]
+        rep_dmax.append(_dmax(rep_pts))
         for m in sorted(g.members):
             if m in reps:
                 continue
@@ -280,12 +269,8 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
         },
     )
     group_tree = [(g.members, g.attach_parent) for g in final_groups] + [(remainder, None)]
-    if not (
-        certify_groups(pts, assignment, group_tree)
-        or is_strongly_connected_at(pts, assignment, RADIUS_90)
-    ):
-        raise ConstructionInvariantViolated(
-            "90-degree construction not strongly connected at r=7; "
-            "preserve this instance as a regression fixture"
-        )
-    return assignment
+    return check_construction(
+        pts, assignment, group_tree,
+        "90-degree construction not strongly connected at r=7; "
+        "preserve this instance as a regression fixture",
+    )

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MissingOrientation, TooManyPoints
+from .errors import ConstructionInvariantViolated, MissingOrientation, TooManyPoints
 from .geometry import EPS, TAU, Point, Wedge, normalize_angle
 from .orientation import OrientationAssignment
 from .topology import as_coords
@@ -256,6 +256,18 @@ def certify_groups(
         into[v] |= 1 << u
     full = (1 << n) - 1
     return _reach(out, 0) == full and _reach(into, 0) == full
+
+
+def check_construction(
+    points: Sequence[Point], assignment: OrientationAssignment, groups: Groups, failure: str
+) -> OrientationAssignment:
+    """The self-check every construction exits through: the group certificate,
+    else the dense check at the assignment's radius, else
+    ConstructionInvariantViolated(failure). Returns the assignment."""
+    r = assignment.guaranteed_radius
+    if certify_groups(points, assignment, groups) or is_strongly_connected_at(points, assignment, r):
+        return assignment
+    raise ConstructionInvariantViolated(failure)
 
 
 def _bottleneck_level(w: np.ndarray) -> float:

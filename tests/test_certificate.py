@@ -1,17 +1,16 @@
 """The group certificate the constructions check themselves with
-(``verifier.certify_groups``): its edges are edges of the communication
-graph, it certifies every construction output, and when it fails the dense
-check decides."""
+(``verifier.certify_groups``, run by ``verifier.check_construction``): its
+edges are edges of the communication graph, it certifies every construction
+output, and when it fails the dense check decides."""
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectornet import orient180, orient90
+from sectornet import orient180, orient90, verifier
 from sectornet.errors import ConstructionInvariantViolated
 from sectornet.geometry import Point
 from sectornet.instances import random_connected_udg
@@ -26,7 +25,8 @@ from test_acceptance import suite_instance
 from test_orient90 import collinear_group_instances
 
 PI = math.pi
-# (module, construction, the message it raises when its output is not strong)
+# (module, construction, the message it raises when its output is not strong);
+# the module only names the parametrized test ids
 CONSTRUCTIONS = (
     (
         orient180,
@@ -41,6 +41,7 @@ CONSTRUCTIONS = (
         "preserve this instance as a regression fixture",
     ),
 )
+SMALL = (orient90, orient90.orient_small, "small 90-degree case failed at r=2")
 
 
 def lattices_and_rows():
@@ -69,37 +70,37 @@ def differential_instances():
 def dense_calls(monkeypatch):
     """The assignments the constructions hand to the dense fallback check."""
     calls = []
-    real_dense = orient180.is_strongly_connected_at
+    real_dense = verifier.is_strongly_connected_at
 
     def dense(points, assignment, r):
         calls.append(assignment)
         return real_dense(points, assignment, r)
 
-    for module, _, _ in CONSTRUCTIONS:
-        monkeypatch.setattr(module, "is_strongly_connected_at", dense)
+    monkeypatch.setattr(verifier, "is_strongly_connected_at", dense)
     return calls
 
 
-def own_groups(module, construct, pts):
+def own_groups(construct, pts):
     """A construction's output and the groups it certified itself with."""
     seen = []
-    real_certify = module.certify_groups
-    module.certify_groups = lambda p, a, groups: seen.append(groups) or real_certify(p, a, groups)
+    real_certify = verifier.certify_groups
+    verifier.certify_groups = lambda p, a, groups: seen.append(groups) or real_certify(p, a, groups)
     try:
         return construct(pts), seen[-1]
     finally:
-        module.certify_groups = real_certify
+        verifier.certify_groups = real_certify
 
 
 class TestFallback:
-    @pytest.mark.parametrize("module, construct, _", CONSTRUCTIONS)
+    @pytest.mark.parametrize("module, construct, _", CONSTRUCTIONS + (SMALL,))
     def test_failed_certificate_returns_same_theta_through_dense_check(
         self, monkeypatch, dense_calls, module, construct, _
     ):
-        pts = random_connected_udg(40, 11, math.sqrt(40))
+        n = 3 if construct is orient90.orient_small else 40
+        pts = random_connected_udg(n, 11, math.sqrt(n))
         expected = construct(pts)
         assert dense_calls == []
-        monkeypatch.setattr(module, "certify_groups", lambda *args: False)
+        monkeypatch.setattr(verifier, "certify_groups", lambda *args: False)
         got = construct(pts)
         assert got.theta == expected.theta
         assert dense_calls == [got]
@@ -109,7 +110,7 @@ class TestFallback:
         pts = random_connected_udg(4, 5, 1.0)
         away = min(pts, key=lambda p: p.x).id
         real_orient_group = orient180._orient_group
-        real_orient_four = orient90.orient_four
+        real_rule = orient90.four_point_thetas
 
         def orient_group(group, points, theta):
             result = real_orient_group(group, points, theta)
@@ -117,23 +118,35 @@ class TestFallback:
                 theta[away] = PI
             return result
 
-        def orient_four(quad):
-            result = real_orient_four(quad)
-            return replace(result, theta={**result.theta, away: PI})
+        def four_point_thetas(qc):
+            return {**real_rule(qc), away: PI}
 
         monkeypatch.setattr(orient180, "_orient_group", orient_group)
-        monkeypatch.setattr(orient90, "orient_four", orient_four)
+        monkeypatch.setattr(orient90, "four_point_thetas", four_point_thetas)
         for _, construct, message in CONSTRUCTIONS:
             with pytest.raises(ConstructionInvariantViolated) as err:
                 construct(pts)
             assert str(err.value) == message
         assert len(dense_calls) == 2
 
+    def test_turned_small_wedge_raises_unchanged_message(self, monkeypatch, dense_calls):
+        # one of two points faces straight away from the other
+        pts = random_connected_udg(2, 5, 1.0)
+        real_direction = orient90.direction
+        monkeypatch.setattr(
+            orient90, "direction", lambda p, q: real_direction(p, q) + (PI if p.id == 0 else 0.0)
+        )
+        _, construct, message = SMALL
+        with pytest.raises(ConstructionInvariantViolated) as err:
+            construct(pts)
+        assert str(err.value) == message
+        assert len(dense_calls) == 1
+
 
 def test_certificate_passes_and_keeps_only_graph_edges(dense_calls):
     for name, pts in differential_instances():
-        for module, construct, _ in CONSTRUCTIONS:
-            assignment, groups = own_groups(module, construct, pts)
+        for _, construct, _ in CONSTRUCTIONS:
+            assignment, groups = own_groups(construct, pts)
             assert certify_groups(pts, assignment, groups), name
             a, b = _certificate_edges(pts, assignment, groups)
             assert build_comm_graph(pts, assignment).adj[a, b].all(), name
@@ -151,7 +164,7 @@ def test_certificate_passes_and_keeps_only_graph_edges(dense_calls):
 def test_certified_strong_implies_graph_strong(seed, aperture, radius, spread, data):
     # random thetas: each bisector turned by up to ``spread`` from the construction's
     pts = random_connected_udg(4 + seed % 20, seed, 2.0)
-    constructed, groups = own_groups(*CONSTRUCTIONS[aperture][:2], pts)
+    constructed, groups = own_groups(CONSTRUCTIONS[aperture][1], pts)
     turns = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(pts), max_size=len(pts)))
     assignment = OrientationAssignment(
         alpha=constructed.alpha,

@@ -78,6 +78,22 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--input", str(src), "--orientation", str(orient))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "plot"])
+    @pytest.mark.parametrize(
+        "thetas", ["0 0.0\n1 0.0\n", "0 0.0\n1 0.0\n2 0.0\n3 0.0\n"], ids=["missing", "extra"]
+    )
+    def test_orientation_ids_must_match_points_exit_2(self, tmp_path, capsys, command, thetas):
+        src = tmp_path / "pts.txt"
+        orient = tmp_path / "orient.txt"
+        svg = tmp_path / "fig.svg"
+        write_points(src, [Point(0, 0, 0), Point(1, 1, 0), Point(2, 0.5, 0.8)])
+        orient.write_text("alpha 1.5707963267948966\nradius 2.0\n" + thetas)
+        argv = [command, "--input", str(src), "--orientation", str(orient)]
+        code, stdout, err = run(capsys, *argv, *(["--out", str(svg)] if command == "plot" else []))
+        assert code == 2 and stdout == ""
+        assert f"{orient}:0: orientation ids do not match point ids" in err
+        assert not svg.exists()
+
     @pytest.mark.parametrize(
         "text,line",
         [

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from sectornet.errors import NotGeneralPosition
-from sectornet.fourpoint import orient_four, search_orient_four
+from sectornet import fourpoint, orient90
+from sectornet.errors import ConstructionInvariantViolated, NotGeneralPosition
+from sectornet.fourpoint import FourPointResult, _dmax, orient_four, search_orient_four
 from sectornet.geometry import Point, QuadKind, classify_quad, normalize_angle
 from sectornet.verifier import build_comm_graph, covers_plane, strongly_connected
+from test_certificate import differential_instances
 
 PI = math.pi
 
@@ -78,6 +80,65 @@ class TestOrientFour:
             assert r2.dmax == pytest.approx(s * r1.dmax, rel=1e-12)
             for i in r1.theta:
                 assert r2.theta[i] == pytest.approx(r1.theta[i], abs=1e-9)
+
+
+class TestRuleMiss:
+    """orient_four raises instead of falling back to the search."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        for name in ("search_orient_four", "search_cover_orientation"):
+            monkeypatch.setattr(fourpoint, name, lambda *args, name=name: calls.append(name))
+        return calls
+
+    @pytest.mark.parametrize("case, pts", [
+        ("convex", [P(0, 0, 1), P(1, 1, 1), P(2, 1, 0), P(3, 0, 0)]),
+        ("nonconvex", [P(0, 0, 0), P(1, 2, 2), P(2, 4, 0), P(3, 2, 1)]),
+    ])
+    def test_rule_returns_none(self, monkeypatch, searches, case, pts):
+        monkeypatch.setattr(fourpoint, "four_point_thetas", lambda qc: None)
+        with pytest.raises(ConstructionInvariantViolated) as err:
+            orient_four(pts)
+        assert str(err.value) == (
+            f"four-point rule failed on a {case} quadruple; "
+            "preserve this instance as a regression fixture"
+        )
+        assert searches == []
+
+    def test_rule_turns_one_bisector(self, monkeypatch, searches):
+        pts = [P(0, 0, 1), P(1, 1, 1), P(2, 1, 0), P(3, 0, 0)]
+        real_rule = fourpoint.four_point_thetas
+
+        def turned(qc):
+            theta = real_rule(qc)
+            return {**theta, 2: theta[2] + PI}
+
+        monkeypatch.setattr(fourpoint, "four_point_thetas", turned)
+        with pytest.raises(ConstructionInvariantViolated, match="^four-point rule failed on a convex"):
+            orient_four(pts)
+        assert searches == []
+
+
+def test_rule_holds_the_lemma_in_every_90_degree_group(monkeypatch):
+    """Every four-point rule call of orient_all_90 on the differential
+    instances gives a theta strongly connected at dmax whose wedges cover the
+    plane. orient_all_90 relies on this lemma without checking it per group."""
+    quads = []
+    real_rule = orient90.four_point_thetas
+
+    def rule(qc):
+        theta = real_rule(qc)
+        quads.append((list(qc.hull) + ([qc.interior] if qc.interior else []), theta))
+        return theta
+
+    monkeypatch.setattr(orient90, "four_point_thetas", rule)
+    for _, pts in differential_instances():
+        orient90.orient_all_90(pts)
+    assert len(quads) > 1000, len(quads)
+    for quad, theta in quads:
+        assert theta is not None
+        assert_guarantees(quad, FourPointResult(theta=theta, dmax=_dmax(quad), case=""))
 
 
 class TestSearchOrientFour:

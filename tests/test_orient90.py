@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sectornet import orient90
 from sectornet.errors import DisconnectedInput, DuplicatePoint, TooManyPoints
 from sectornet.geometry import Point
 from sectornet.instances import collinear_witness, random_connected_udg
@@ -246,6 +247,24 @@ class TestOrientAll90:
     def test_disconnected(self, pts):
         with pytest.raises(DisconnectedInput):
             orient_all_90(pts)
+
+    def test_rule_miss_takes_the_plane_cover_search(self, monkeypatch):
+        # a general-position group whose four-point rule misses is searched
+        # at radius 7, like a degenerate group, and the result still checks out
+        searched = []
+        real_search = orient90.search_cover_orientation
+
+        def search(quad, r):
+            searched.append(r)
+            return real_search(quad, r)
+
+        monkeypatch.setattr(orient90, "four_point_thetas", lambda qc: None)
+        monkeypatch.setattr(orient90, "search_cover_orientation", search)
+        pts = random_connected_udg(40, 11, math.sqrt(40))
+        a = orient_all_90(pts)
+        assert searched and set(searched) == {RADIUS_90}
+        assert len(searched) == len(a.diagnostics["group_sizes"])
+        assert is_strongly_connected_at(pts, a, RADIUS_90)
 
     def test_square_grid(self):
         pts = [P(i, float(i % 6), float(i // 6)) for i in range(36)]

@@ -1,9 +1,10 @@
 """Unit disk graph, connectivity, and a degree-5 Euclidean spanning tree.
 
-The spanning tree is a Euclidean MST built with Prim plus a deterministic
-tie-break; any degree-6 vertex (only possible under exact 60-degree ties) is
-repaired by swapping one incident edge for an equal-length alternative, so
-the tree keeps minimum total length with maximum degree five.
+All three read one list: the pairs within unit distance, sorted by (distance,
+smaller id, larger id). That strict order makes the MST unique; Boruvka rounds
+find it. Any degree-6 vertex (only possible under exact 60-degree ties) is
+repaired by swapping one incident edge for an equal-length pair, so the tree
+keeps minimum total length with maximum degree five.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import DisconnectedInput, DuplicatePoint, TooFewPoints
 from .geometry import EPS, Point, ccw_angle_between, direction
 
 MAX_TREE_DEGREE = 5
+Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,6 @@ def as_coords(points: Sequence[Point]) -> np.ndarray:
     return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
-def pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """n x n Euclidean distance matrix of an (n, 2) coordinate array."""
-    d = coords[:, None, :] - coords[None, :, :]
-    return np.hypot(d[..., 0], d[..., 1])
-
-
 def check_point_ids(points: Sequence[Point]) -> None:
     ids = sorted(p.id for p in points)
     if ids != list(range(len(points))):
@@ -83,128 +79,134 @@ def check_point_ids(points: Sequence[Point]) -> None:
             raise ValueError(f"point {p.id} has non-finite coordinates")
 
 
-def _distinct_points(points: Sequence[Point]) -> Tuple[List[Point], np.ndarray]:
-    """Points sorted by id and their distance matrix.
+def _udg_pairs(coords: np.ndarray) -> Pairs:
+    """Ids i < j and distance d of every pair within 1 + EPS, sorted by (d, i, j).
 
-    Raises ValueError on bad ids or coordinates, TooFewPoints on an empty
-    input and DuplicatePoint when two points coincide within EPS.
+    Grid cells are 2 wide, so halving and flooring is exact at any offset and
+    such a pair lies in one cell or two adjacent ones. A cell's coordinate pair
+    viewed as complex sorts by column, then row; clipping to 2**52 keeps the +-1
+    steps exact and only adds candidates. In that order a point meets two runs:
+    the later points of its cell and the cell above; the three cells to its right.
     """
+    n = len(coords)
+    key = np.clip(np.floor(coords * 0.5), -(2.0**52), 2.0**52).view(complex)[:, 0]
+    order = np.argsort(key)
+    key, (x, y) = key[order], coords[order].T
+    lo = np.searchsorted(key, key[:, None] + np.array([0, 1 - 1j]))
+    lo[:, 0] = np.arange(1, n + 1)
+    count = (np.searchsorted(key, key[:, None] + np.array([1j, 1 + 1j]), "right") - lo).ravel()
+    a = np.arange(n).repeat(2).repeat(count)
+    b = np.arange(len(a)) + (lo.ravel() - count.cumsum() + count).repeat(count)
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    near = (dx * dx + dy * dy <= 1.0 + 3.0 * EPS).nonzero()[0]  # a cheap superset
+    d = np.hypot(dx[near], dy[near])
+    near = near[d <= 1.0 + EPS]
+    a, b, d = order[a[near]], order[b[near]], d[d <= 1.0 + EPS]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    ranked = d.argsort()
+    if (d[ranked[1:]] == d[ranked[:-1]]).any():  # tied distances: rank by (d, i, j)
+        ranked = np.argsort(d + (i * n + j) * 1j)  # exact while n * n < 2**53
+    return i[ranked], j[ranked], d[ranked]
+
+
+def _distinct_points(points: Sequence[Point]) -> Tuple[List[Point], Pairs]:
+    """Points sorted by id and their ``_udg_pairs``. Raises ValueError on bad ids
+    or coordinates, TooFewPoints on an empty input and DuplicatePoint when two
+    points coincide within EPS."""
     check_point_ids(points)
     if len(points) < 1:
         raise TooFewPoints("need at least one point")
     pts = sorted(points, key=lambda p: p.id)
-    dist = pairwise_distances(as_coords(pts))
-    close = np.argwhere(np.triu(dist <= EPS, k=1))
-    if len(close):
-        i, j = close[0]
-        raise DuplicatePoint(f"points {i} and {j} coincide within {EPS}")
-    return pts, dist
+    i, j, d = pairs = _udg_pairs(as_coords(pts))
+    close = int(np.searchsorted(d, EPS, "right"))
+    if close:
+        a, b = min(zip(i[:close].tolist(), j[:close].tolist()))
+        raise DuplicatePoint(f"points {a} and {b} coincide within {EPS}")
+    return pts, pairs
 
 
 def build_udg(points: Sequence[Point]) -> Udg:
     """Edges join id pairs within unit distance; duplicates are rejected."""
-    pts, dist = _distinct_points(points)
-    iu, ju = np.nonzero(np.triu(dist <= 1.0 + EPS, k=1))
-    edges = frozenset((int(i), int(j)) for i, j in zip(iu, ju))
-    return Udg(n=len(pts), edges=edges)
+    pts, (i, j, _) = _distinct_points(points)
+    return Udg(n=len(pts), edges=frozenset(zip(i.tolist(), j.tolist())))
 
 
 def is_connected(g: Udg) -> bool:
     """One connected component; a single point counts as connected."""
-    if g.n <= 1:
-        return True
-    adj = g.adjacency()
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
+    i, j = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    return len(_spanning_forest(g.n, i, j)) >= g.n - 1
 
 
-def _prim_edges(points: Sequence[Point], dist: np.ndarray) -> List[Tuple[int, int]]:
-    """Prim restricted to UDG edges, ties broken by (distance, smaller id, larger id)."""
-    n = len(points)
-    weight = dist.copy()
-    weight[weight > 1.0 + EPS] = np.inf
-    np.fill_diagonal(weight, np.inf)
+def _spanning_forest(n: int, i: np.ndarray, j: np.ndarray) -> List[Tuple[int, int]]:
+    """Minimum spanning forest of the pairs (i[k], j[k]), pair k ranked k-th.
 
-    start = min(range(n), key=lambda i: (-points[i].y, i))
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[start] = True
-    best = weight[start].copy()
-    best_from = np.full(n, start, dtype=int)
-    edges: List[Tuple[int, int]] = []
-    for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best)
-        lo = masked.min()
-        if not np.isfinite(lo):
-            raise DisconnectedInput("unit disk graph is not connected")
-        tie = np.flatnonzero(masked == lo)
-        j = min(
-            (int(t) for t in tie),
-            key=lambda t: (min(best_from[t], t), max(best_from[t], t)),
-        )
-        edges.append((int(best_from[j]), j))
-        in_tree[j] = True
-        improve = weight[j] < best
-        best[improve] = weight[j][improve]
-        best_from[improve] = j
-        # equal-weight candidates switch only to a lexicographically smaller pair
-        same = (~improve) & (weight[j] == best) & np.isfinite(best)
-        for k in np.flatnonzero(same):
-            old = (min(int(best_from[k]), int(k)), max(int(best_from[k]), int(k)))
-            new = (min(j, int(k)), max(j, int(k)))
-            if new < old:
-                best_from[k] = j
-    return edges
+    Boruvka rounds: every component hooks onto the component across its first
+    outgoing pair. Under a strict order those pairs belong to the one minimum
+    forest, and two components hook onto each other only through one pair.
+    """
+    comp = ids = np.arange(n)
+    ci, cj = i, j
+    forest: List[Tuple[int, int]] = []
+    while len(forest) < n - 1 and len(i):
+        first = np.full(n, len(i))
+        rank = np.arange(len(i))
+        np.minimum.at(first, ci, rank)
+        np.minimum.at(first, cj, rank)
+        c = (first < len(i)).nonzero()[0]
+        k = first[c]
+        hook = ids.copy()
+        hook[c] = ci[k] + cj[k] - c
+        mutual = (hook[hook] == ids) & (ids < hook)
+        hook[mutual] = ids[mutual]
+        k = k[hook[c] != c]  # a mutual pair once, from its larger side
+        forest.extend(zip(i[k].tolist(), j[k].tolist()))
+        while (hook[hook] != hook).any():
+            hook = hook[hook]
+        comp = hook[comp]
+        ci, cj = comp[i], comp[j]
+        between = ci != cj
+        i, j, ci, cj = i[between], j[between], ci[between], cj[between]
+    return forest
 
 
 def _split_component(adj: Dict[int, set], block_a: int, block_b: int) -> set:
     """Nodes reachable from block_b when edge (block_a, block_b) is removed."""
-    seen = {block_b}
+    seen = {block_a, block_b}  # in a tree, block_a is reachable only over that edge
     queue = deque([block_b])
     while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if v == block_b and w == block_a:
-                continue
+        for w in adj[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return seen
+    return seen - {block_a}
 
 
-def _repair_degree(
-    adj: Dict[int, set], points: Sequence[Point], dist: np.ndarray
-) -> None:
+def _repair_degree(adj: Dict[int, set], pairs: Pairs) -> None:
     """Swap equal-length edges until no vertex exceeds degree 5.
 
     A degree-6 MST vertex forces six equidistant neighbors at exact 60-degree
-    spacing, so an equal-length rim replacement always exists.
+    spacing, so an equal-length rim replacement always exists among the unit
+    disk pairs.
     """
+    if all(len(nbrs) <= MAX_TREE_DEGREE for nbrs in adj.values()):
+        return
+    dist: Dict[int, Dict[int, float]] = {v: {} for v in adj}
+    for a, b, d in zip(*(part.tolist() for part in pairs)):
+        dist[a][b] = dist[b][a] = d
     while True:
-        over = sorted(v for v in adj if len(adj[v]) > MAX_TREE_DEGREE)
-        if not over:
+        v = min((v for v in adj if len(adj[v]) > MAX_TREE_DEGREE), default=None)
+        if v is None:
             return
-        v = over[0]
-        done = False
         for u in sorted(adj[v], key=lambda u: (dist[v][u], u)):
             comp_u = _split_component(adj, v, u)
             limit = dist[v][u] + 1e-12
             cands = [
-                (dist[x][y], min(x, y), max(x, y), x, y)
+                (d, min(x, y), max(x, y), x, y)
                 for x in sorted(comp_u)
-                for y in adj
+                for y, d in dist[x].items()
                 if y not in comp_u
                 and y != v
-                and dist[x][y] <= limit
+                and d <= limit
                 and len(adj[y]) < MAX_TREE_DEGREE
                 and (x != u or len(adj[x]) <= MAX_TREE_DEGREE)
                 and (x == u or len(adj[x]) < MAX_TREE_DEGREE)
@@ -216,9 +218,8 @@ def _repair_degree(
             adj[u].discard(v)
             adj[x].add(y)
             adj[y].add(x)
-            done = True
             break
-        if not done:
+        else:
             raise AssertionError(f"cannot repair degree-{len(adj[v])} vertex {v}")
 
 
@@ -230,16 +231,17 @@ def bounded_degree_mst(points: Sequence[Point]) -> RootedTree:
     DisconnectedInput when the unit disk graph is not connected. Total edge
     length equals the unconstrained Euclidean MST length.
     """
-    pts, dist = _distinct_points(points)
+    pts, pairs = _distinct_points(points)
     n = len(pts)
-    if n == 1:
-        return RootedTree(root=0, parent={0: 0}, children={0: []})
+    forest = _spanning_forest(n, pairs[0], pairs[1])
+    if len(forest) < n - 1:
+        raise DisconnectedInput("unit disk graph is not connected")
 
     adj: Dict[int, set] = {i: set() for i in range(n)}
-    for a, b in _prim_edges(pts, dist):
+    for a, b in forest:
         adj[a].add(b)
         adj[b].add(a)
-    _repair_degree(adj, pts, dist)
+    _repair_degree(adj, pairs)
 
     root = min(range(n), key=lambda i: (-pts[i].y, i))
     parent = {root: root}
@@ -254,8 +256,6 @@ def bounded_degree_mst(points: Sequence[Point]) -> RootedTree:
             parent[w] = v
             children[v].append(w)
             queue.append(w)
-    if len(parent) != n:
-        raise DisconnectedInput("unit disk graph is not connected")
     return RootedTree(root=root, parent=parent, children=children)
 
 

@@ -3,11 +3,13 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes. Five are reference implementations kept for differential
+coverage probes. Six are reference implementations kept for differential
 tests: the binary search for the minimum strong radius, the quadratic
 random-UDG generator, the two quadratic tree groupings that walk the whole
-residual tree again after every removal, and the per-point coverage-mask
-loop over ``math.hypot`` and ``angle_diff``.
+residual tree again after every removal, the per-point coverage-mask loop
+over ``math.hypot`` and ``angle_diff``, and the dense degree-5 spanning tree
+(an n x n distance matrix, tie-broken Prim and a degree repair that scans
+every node pair).
 """
 
 from __future__ import annotations
@@ -15,16 +17,25 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import deque
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from sectornet.geometry import EPS, Point, angle_diff
+from sectornet.errors import DisconnectedInput, DuplicatePoint, TooFewPoints
+from sectornet.geometry import EPS, Point, angle_diff, ccw_angle_between, direction
 from sectornet.orient180 import Group180
 from sectornet.orient90 import Group90, choose_representatives
 from sectornet.orientation import OrientationAssignment
-from sectornet.topology import RootedTree, build_udg, is_connected
+from sectornet.topology import (
+    MAX_TREE_DEGREE,
+    RootedTree,
+    as_coords,
+    build_udg,
+    check_point_ids,
+    is_connected,
+)
 from sectornet.verifier import is_strongly_connected_at
 
 
@@ -322,3 +333,158 @@ def quadratic_extract_groups_90(t: RootedTree) -> Tuple[List[Group90], List[int]
             )
         )
     return groups, sorted(alive)
+
+
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """n x n Euclidean distance matrix of an (n, 2) coordinate array."""
+    d = coords[:, None, :] - coords[None, :, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _distinct_points(points: Sequence[Point]) -> Tuple[List[Point], np.ndarray]:
+    """Points sorted by id and their distance matrix.
+
+    Raises ValueError on bad ids or coordinates, TooFewPoints on an empty
+    input and DuplicatePoint when two points coincide within EPS.
+    """
+    check_point_ids(points)
+    if len(points) < 1:
+        raise TooFewPoints("need at least one point")
+    pts = sorted(points, key=lambda p: p.id)
+    dist = pairwise_distances(as_coords(pts))
+    close = np.argwhere(np.triu(dist <= EPS, k=1))
+    if len(close):
+        i, j = close[0]
+        raise DuplicatePoint(f"points {i} and {j} coincide within {EPS}")
+    return pts, dist
+
+
+def _prim_edges(points: Sequence[Point], dist: np.ndarray) -> List[Tuple[int, int]]:
+    """Prim restricted to UDG edges, ties broken by (distance, smaller id, larger id)."""
+    n = len(points)
+    weight = dist.copy()
+    weight[weight > 1.0 + EPS] = np.inf
+    np.fill_diagonal(weight, np.inf)
+
+    start = min(range(n), key=lambda i: (-points[i].y, i))
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[start] = True
+    best = weight[start].copy()
+    best_from = np.full(n, start, dtype=int)
+    edges: List[Tuple[int, int]] = []
+    for _ in range(n - 1):
+        masked = np.where(in_tree, np.inf, best)
+        lo = masked.min()
+        if not np.isfinite(lo):
+            raise DisconnectedInput("unit disk graph is not connected")
+        tie = np.flatnonzero(masked == lo)
+        j = min(
+            (int(t) for t in tie),
+            key=lambda t: (min(best_from[t], t), max(best_from[t], t)),
+        )
+        edges.append((int(best_from[j]), j))
+        in_tree[j] = True
+        improve = weight[j] < best
+        best[improve] = weight[j][improve]
+        best_from[improve] = j
+        # equal-weight candidates switch only to a lexicographically smaller pair
+        same = (~improve) & (weight[j] == best) & np.isfinite(best)
+        for k in np.flatnonzero(same):
+            old = (min(int(best_from[k]), int(k)), max(int(best_from[k]), int(k)))
+            new = (min(j, int(k)), max(j, int(k)))
+            if new < old:
+                best_from[k] = j
+    return edges
+
+
+def _split_component(adj: Dict[int, set], block_a: int, block_b: int) -> set:
+    """Nodes reachable from block_b when edge (block_a, block_b) is removed."""
+    seen = {block_b}
+    queue = deque([block_b])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if v == block_b and w == block_a:
+                continue
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _repair_degree(
+    adj: Dict[int, set], points: Sequence[Point], dist: np.ndarray
+) -> None:
+    """Swap equal-length edges until no vertex exceeds degree 5.
+
+    A degree-6 MST vertex forces six equidistant neighbors at exact 60-degree
+    spacing, so an equal-length rim replacement always exists.
+    """
+    while True:
+        over = sorted(v for v in adj if len(adj[v]) > MAX_TREE_DEGREE)
+        if not over:
+            return
+        v = over[0]
+        done = False
+        for u in sorted(adj[v], key=lambda u: (dist[v][u], u)):
+            comp_u = _split_component(adj, v, u)
+            limit = dist[v][u] + 1e-12
+            cands = [
+                (dist[x][y], min(x, y), max(x, y), x, y)
+                for x in sorted(comp_u)
+                for y in adj
+                if y not in comp_u
+                and y != v
+                and dist[x][y] <= limit
+                and len(adj[y]) < MAX_TREE_DEGREE
+                and (x != u or len(adj[x]) <= MAX_TREE_DEGREE)
+                and (x == u or len(adj[x]) < MAX_TREE_DEGREE)
+            ]
+            if not cands:
+                continue
+            _, _, _, x, y = min(cands)
+            adj[v].discard(u)
+            adj[u].discard(v)
+            adj[x].add(y)
+            adj[y].add(x)
+            done = True
+            break
+        if not done:
+            raise AssertionError(f"cannot repair degree-{len(adj[v])} vertex {v}")
+
+
+def dense_bounded_degree_mst(points: Sequence[Point]) -> RootedTree:
+    """Euclidean MST with max degree 5, rooted at a highest point (ties: smallest id).
+
+    The dense reference for ``topology.bounded_degree_mst``: the same tree, or
+    the same error, from an n x n distance matrix and tie-broken Prim. Raises
+    ValueError on bad ids or coordinates, DuplicatePoint when two points
+    coincide, and DisconnectedInput when the unit disk graph is not connected.
+    """
+    pts, dist = _distinct_points(points)
+    n = len(pts)
+    if n == 1:
+        return RootedTree(root=0, parent={0: 0}, children={0: []})
+
+    adj: Dict[int, set] = {i: set() for i in range(n)}
+    for a, b in _prim_edges(pts, dist):
+        adj[a].add(b)
+        adj[b].add(a)
+    _repair_degree(adj, pts, dist)
+
+    root = min(range(n), key=lambda i: (-pts[i].y, i))
+    parent = {root: root}
+    children: Dict[int, List[int]] = {i: [] for i in range(n)}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        kids = [w for w in adj[v] if w not in parent]
+        ref = 0.0 if v == root else direction(pts[v], pts[parent[v]])
+        kids.sort(key=lambda w: (ccw_angle_between(ref, direction(pts[v], pts[w])), w))
+        for w in kids:
+            parent[w] = v
+            children[v].append(w)
+            queue.append(w)
+    if len(parent) != n:
+        raise DisconnectedInput("unit disk graph is not connected")
+    return RootedTree(root=root, parent=parent, children=children)

@@ -1,9 +1,18 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import prim_mst_length, pruefer_min_spanning_length, tree_edges_cross
+from oracles import (
+    dense_bounded_degree_mst,
+    prim_mst_length,
+    pruefer_min_spanning_length,
+    tree_edges_cross,
+)
 from sectornet.errors import DisconnectedInput, DuplicatePoint
 from sectornet.geometry import Point
 from sectornet.instances import random_connected_udg
@@ -50,6 +59,9 @@ class TestIsConnected:
 
     def test_single(self):
         assert is_connected(build_udg([P(0, 0, 0)]))
+
+    def test_two_far_pairs(self):
+        assert not is_connected(build_udg([P(0, 0, 0), P(1, 1, 0), P(2, 5, 0), P(3, 6, 0)]))
 
 
 class TestBoundedDegreeMst:
@@ -131,3 +143,106 @@ class TestTreeHeights:
         assert tree.root == 0 and sorted(tree.children[0]) == [1, 2, 3]
         heights = tree_heights(tree)
         assert heights == {0: 1, 1: 0, 2: 0, 3: 0}
+
+
+def tree_or_error(build, pts):
+    """The tree as (root, parent, children), or the error as (type, message)."""
+    try:
+        t = build(pts)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return t.root, t.parent, t.children
+
+
+def shuffled_points(coords, rng):
+    ids = list(range(len(coords)))
+    rng.shuffle(ids)
+    return [P(i, x, y) for i, (x, y) in zip(ids, coords)]
+
+
+def jittered_lattice(k, seed):
+    """k x k square lattice with spacing 0.9, each point moved by up to 0.04 per axis."""
+    jitter = np.random.default_rng(seed).uniform(-0.04, 0.04, size=(k * k, 2))
+    return [P(v, 0.9 * (v % k) + jitter[v, 0], 0.9 * (v // k) + jitter[v, 1]) for v in range(k * k)]
+
+
+def reference_instances():
+    for seed in range(1000):
+        n = 5 + seed % 196
+        yield f"acceptance seed {seed}", random_connected_udg(n, seed, max(1.0, math.sqrt(n)))
+    for seed in range(4):
+        rng = random.Random(seed)
+        for k in (3, 5, 8, 12):
+            coords = [(i, j) for j in range(k) for i in range(k)]
+            yield f"square{k} seed {seed}", shuffled_points(coords, rng)
+        for rad in (1, 2, 4):
+            coords = [
+                (q + r / 2.0, r * math.sqrt(3) / 2.0)
+                for q in range(-rad, rad + 1)
+                for r in range(-rad, rad + 1)
+                if abs(q + r) <= rad
+            ]
+            yield f"hex{rad} seed {seed}", shuffled_points(coords, rng)
+        for n in (2, 4, 5, 9, 13):
+            xs = [0.0]
+            for _ in range(n - 1):
+                xs.append(xs[-1] + rng.uniform(0.5, 1.0))
+            yield f"row{n} seed {seed}", shuffled_points([(x, 0.0) for x in xs], rng)
+    yield "hexagon with centre", [P(0, 0, 0)] + [
+        P(k + 1, math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)
+    ]
+    yield "row offset by 1e9", [P(i, 1e9 + 0.75 * i, -1e9) for i in range(20)]
+    yield "column beyond 2**54", [P(0, 1e17, 0), P(1, 1e17, 1), P(2, 1e17, 1.5)]
+    yield "points 1e300 apart", [P(0, 1e17, 0), P(1, 1e17, 1), P(2, -1e300, 1e300)]
+    yield "three coincident points", [P(0, 0, 0), P(1, 5, 5), P(2, 0.5, 0), P(3, 5, 5), P(4, 5, 5)]
+    yield "disconnected pair", [P(0, 0, 0), P(1, 5, 0)]
+    yield "two far pairs", [P(0, 0, 0), P(1, 1, 0), P(2, 5, 0), P(3, 6, 0)]
+
+
+class TestAgainstDenseReference:
+    def test_same_tree_or_error(self):
+        for name, pts in reference_instances():
+            got = tree_or_error(bounded_degree_mst, pts)
+            assert got == tree_or_error(dense_bounded_degree_mst, pts), name
+
+    def test_coincident_points_name_the_first_pair(self):
+        pts = [P(0, 0, 0), P(1, 5, 5), P(2, 0.5, 0), P(3, 5, 5), P(4, 5, 5)]
+        with pytest.raises(DuplicatePoint, match=r"^points 1 and 3 coincide"):
+            bounded_degree_mst(pts)
+
+    def test_lattice_peak_memory_is_linear(self):
+        # n = 5041: an n x n float matrix alone is 203 MB
+        pts = jittered_lattice(71, 0)
+        tracemalloc.start()
+        try:
+            tree = bounded_degree_mst(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree.edges()) == len(pts) - 1
+        assert peak < 32 * 2**20
+
+
+# coordinates in 1024ths of a unit, up to 3; quarter steps make exact unit distances and ties common
+TICKS = st.one_of(st.integers(0, 12).map(lambda k: 256 * k), st.integers(0, 3 * 1024))
+# integers up to 1e9 in magnitude, most of them close to it
+OFFSETS = st.one_of(
+    st.tuples(st.sampled_from([-1, 1]), st.integers(0, 10**9)).map(lambda t: t[0] * (10**9 - t[1])),
+    st.integers(-10**9, 10**9),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    cells=st.lists(st.tuples(TICKS, TICKS), min_size=1, max_size=12),
+    dx=OFFSETS,
+    dy=OFFSETS,
+)
+def test_tree_is_unchanged_by_integer_translation(cells, dx, dy):
+    # offsets up to 1e9 keep every coordinate, difference and distance exact,
+    # so the grid must give the same pairs and the same tree
+    pts = [P(i, x / 1024, y / 1024) for i, (x, y) in enumerate(cells)]
+    moved = [P(p.id, p.x + dx, p.y + dy) for p in pts]
+    assert tree_or_error(bounded_degree_mst, moved) == tree_or_error(bounded_degree_mst, pts)
+    if len(set(cells)) == len(cells):
+        assert build_udg(moved) == build_udg(pts)

@@ -4,7 +4,9 @@ All three read one list: the pairs within unit distance, sorted by (distance,
 smaller id, larger id). That strict order makes the MST unique; Boruvka rounds
 find it. Any degree-6 vertex (only possible under exact 60-degree ties) is
 repaired by swapping one incident edge for an equal-length pair, so the tree
-keeps minimum total length with maximum degree five.
+keeps minimum total length with maximum degree five. The grid that finds the
+pairs, ``grid_pairs``, takes any power-of-two cell, and the verifier's radius
+probes use it too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,29 +81,45 @@ def check_point_ids(points: Sequence[Point]) -> None:
             raise ValueError(f"point {p.id} has non-finite coordinates")
 
 
-def _udg_pairs(coords: np.ndarray) -> Pairs:
-    """Ids i < j and distance d of every pair within 1 + EPS, sorted by (d, i, j).
+def grid_pairs(
+    coords: np.ndarray, cell: float, reach: float, most: float = math.inf
+) -> Optional[Pairs]:
+    """Ids a and b and distance d of every pair within ``reach``, each pair once
+    in no set order; None when the grid offers more than ``most`` candidates.
 
-    Grid cells are 2 wide, so halving and flooring is exact at any offset and
-    such a pair lies in one cell or two adjacent ones. A cell's coordinate pair
-    viewed as complex sorts by column, then row; clipping to 2**52 keeps the +-1
-    steps exact and only adds candidates. In that order a point meets two runs:
-    the later points of its cell and the cell above; the three cells to its right.
+    Grid cells are ``cell`` wide, a power of two no smaller than ``reach``, so
+    scaling and flooring is exact at any offset and such a pair lies in one
+    cell or two adjacent ones; the coordinates must be finite. A cell's
+    coordinate pair viewed as complex sorts by column, then row; clipping to
+    2**52 keeps the +-1 steps exact and only adds candidates. In that order a
+    point meets two runs: the later points of its cell and the cell above; the
+    three cells to its right.
     """
     n = len(coords)
-    key = np.clip(np.floor(coords * 0.5), -(2.0**52), 2.0**52).view(complex)[:, 0]
+    key = np.clip(np.floor(coords * (1.0 / cell)), -(2.0**52), 2.0**52).view(complex)[:, 0]
     order = np.argsort(key)
-    key, (x, y) = key[order], coords[order].T
+    key = key[order]
     lo = np.searchsorted(key, key[:, None] + np.array([0, 1 - 1j]))
     lo[:, 0] = np.arange(1, n + 1)
     count = (np.searchsorted(key, key[:, None] + np.array([1j, 1 + 1j]), "right") - lo).ravel()
+    total = int(count.sum())
+    if total > most:
+        return None
+    x, y = coords[order].T
     a = np.arange(n).repeat(2).repeat(count)
-    b = np.arange(len(a)) + (lo.ravel() - count.cumsum() + count).repeat(count)
+    b = np.arange(total) + (lo.ravel() - count.cumsum() + count).repeat(count)
     dx, dy = x[a] - x[b], y[a] - y[b]
-    near = (dx * dx + dy * dy <= 1.0 + 3.0 * EPS).nonzero()[0]  # a cheap superset
+    # a cheap superset: the relative slack covers the rounding of both forms
+    near = (dx * dx + dy * dy <= reach * reach * (1.0 + 1e-12)).nonzero()[0]
     d = np.hypot(dx[near], dy[near])
-    near = near[d <= 1.0 + EPS]
-    a, b, d = order[a[near]], order[b[near]], d[d <= 1.0 + EPS]
+    near = near[d <= reach]
+    return order[a[near]], order[b[near]], d[d <= reach]
+
+
+def _udg_pairs(coords: np.ndarray) -> Pairs:
+    """Ids i < j and distance d of every pair within 1 + EPS, sorted by (d, i, j)."""
+    n = len(coords)
+    a, b, d = grid_pairs(coords, 2.0, 1.0 + EPS)
     i, j = np.minimum(a, b), np.maximum(a, b)
     ranked = d.argsort()
     if (d[ranked[1:]] == d[ranked[:-1]]).any():  # tied distances: rank by (d, i, j)

@@ -12,12 +12,17 @@ tests only pairs of nodes in groups near each other in their group tree: the
 edges it keeps are edges of the communication graph, so a strongly connected
 certificate proves the whole graph strongly connected without building it.
 The minimum strong radius comes from two bottleneck (minimax) reachability
-sweeps over the wedge-restricted distances.
+sweeps over the wedge-restricted distances. On inputs whose pairs spread out,
+a probe at R = 1, 2, 4, ... runs both sweeps on the pairs within R alone,
+found on the grid of ``topology.grid_pairs``, and builds no n x n array; the
+first probe whose sweeps reach every node gives the exact result. Dense
+inputs, small ones and those no probe decides take the n x n matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -28,12 +33,15 @@ import numpy as np
 from .errors import ConstructionInvariantViolated, MissingOrientation, TooManyPoints
 from .geometry import EPS, TAU, Point, Wedge, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import as_coords
+from .topology import Pairs, as_coords, grid_pairs
 
 # Candidate-angle nudge for brute-force grids: above membership EPS, below
 # geometric feature scale, so it selects each open side of a breakpoint
 # without tripping the closed-boundary tolerance.
 NUDGE = 1e-7
+
+# Below this many points one n x n matrix costs no more than a grid probe.
+SPARSE_MIN_N = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,21 +87,18 @@ def _wedge_rule(
 def _id_arrays(
     points: Sequence[Point], assignment: OrientationAssignment
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Coordinates and bisectors of the points, in id order."""
+    """Coordinates and bisectors of the points, in id order. Raises ValueError
+    on non-finite coordinates, which no distance or grid cell can hold."""
     pts = sorted(points, key=lambda p: p.id)
     missing = [p.id for p in pts if p.id not in assignment.theta]
     if missing:
         raise MissingOrientation(f"no orientation for point ids {missing}")
     theta = np.array([assignment.theta[p.id] for p in pts], dtype=float)
-    return as_coords(pts), theta
-
-
-def _assignment_wedge_rule(
-    points: Sequence[Point], assignment: OrientationAssignment
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``_wedge_rule`` of every point against every point, in id order."""
-    coords, theta = _id_arrays(points, assignment)
-    return _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])
+    coords = as_coords(pts)
+    if not np.isfinite(coords).all():
+        bad = pts[int(np.isfinite(coords).all(axis=1).argmin())].id
+        raise ValueError(f"point {bad} has non-finite coordinates")
+    return coords, theta
 
 
 def build_comm_graph(
@@ -106,7 +111,8 @@ def build_comm_graph(
     ``r_override`` replaces the assignment's radius when given.
     """
     r = assignment.guaranteed_radius if r_override is None else r_override
-    dist, inside = _assignment_wedge_rule(points, assignment)
+    coords, theta = _id_arrays(points, assignment)
+    dist, inside = _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])
     adj = (dist <= r + EPS) & inside
     np.fill_diagonal(adj, False)
     return CommGraph(adj)
@@ -290,6 +296,58 @@ def _bottleneck_level(w: np.ndarray) -> float:
     return level
 
 
+def _csr_bottleneck_level(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, degree: np.ndarray
+) -> float:
+    """``_bottleneck_level`` of the edges src[k] -> dst[k] of weight w[k], where
+    degree[v] counts the edges out of v. The edges sit in compressed sparse
+    rows, and the reached set grows one node at a time, cheapest edge first:
+    the largest weight it takes is the same level."""
+    n = len(degree)
+    order = np.argsort(src)
+    dst, w = dst[order].tolist(), w[order].tolist()
+    start = [0] + degree.cumsum().tolist()
+    reached = [False] * n
+    heap = [(0.0, 0)]
+    level = 0.0
+    left = n
+    while heap:
+        weight, v = heapq.heappop(heap)
+        if reached[v]:
+            continue
+        reached[v] = True
+        level = max(level, weight)
+        left -= 1
+        if not left:
+            return level
+        for k in range(start[v], start[v + 1]):
+            if not reached[dst[k]]:
+                heapq.heappush(heap, (w[k], dst[k]))
+    return math.inf
+
+
+def _pairs_bottleneck_level(
+    pairs: Pairs, coords: np.ndarray, theta: np.ndarray, alpha: float
+) -> float:
+    """The larger of the two bottleneck levels over the wedge edges among
+    ``pairs`` (ids i, j and distance d, both directions tested); inf when
+    either sweep misses a node."""
+    i, j, d = pairs
+    ij = _wedge_rule(coords[i], theta[i], alpha, coords[j])[1]
+    ji = _wedge_rule(coords[j], theta[j], alpha, coords[i])[1]
+    # both directions of a pair have the same distance, to the bit
+    a, b = np.concatenate([i[ij], j[ji]]), np.concatenate([j[ij], i[ji]])
+    w = np.concatenate([d[ij], d[ji]])
+    n = len(coords)
+    out_degree, in_degree = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
+    if not (out_degree.all() and in_degree.all()):
+        return math.inf
+    level = _csr_bottleneck_level(a, b, w, out_degree)
+    if level == math.inf:
+        return level
+    return max(level, _csr_bottleneck_level(b, a, w, in_degree))
+
+
 def min_strong_radius(
     points: Sequence[Point], assignment: OrientationAssignment
 ) -> Optional[float]:
@@ -301,10 +359,33 @@ def min_strong_radius(
     smallest pairwise distance c with B <= c + EPS: the float a binary search
     of the sorted distances with ``is_strongly_connected_at`` finds, also when
     distances lie within EPS of each other. None when no radius suffices.
+
+    Inputs of SPARSE_MIN_N points or more first probe R = 1, 2, 4, ...: the
+    pairs within R come from ``topology.grid_pairs`` on cells R wide, and both
+    sweeps run on their wedge edges alone. When both reach every node, B <= R,
+    and every edge up to B and every distance in [B - EPS, B] is among those
+    pairs, so B and c are exact. A probe whose grid offers more than a quarter
+    of the n(n-1)/2 pairs as candidates, or whose R covers the bounding box,
+    hands over to the n x n matrix; so does a smaller input, and the matrix is
+    also what finds None.
     """
-    dist, inside = _assignment_wedge_rule(points, assignment)
-    if len(dist) <= 1:
+    coords, theta = _id_arrays(points, assignment)
+    n = len(coords)
+    if n <= 1:
         return 0.0
+    if n >= SPARSE_MIN_N:
+        span = float(np.hypot(*(coords.max(axis=0) - coords.min(axis=0))))
+        r = 1.0
+        while r < span:
+            pairs = grid_pairs(coords, r, r, most=n * (n - 1) / 8)
+            if pairs is None:
+                break
+            level = _pairs_bottleneck_level(pairs, coords, theta, assignment.alpha)
+            if level < math.inf:
+                d = pairs[2]
+                return float(d[d + EPS >= level].min())
+            r *= 2.0
+    dist, inside = _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])
     np.fill_diagonal(dist, np.inf)
     w = np.where(inside, dist, np.inf)
     b = max(_bottleneck_level(w), _bottleneck_level(w.T))

@@ -19,6 +19,7 @@ from sectornet.instances import random_connected_udg
 from sectornet.topology import (
     bounded_degree_mst,
     build_udg,
+    grid_pairs,
     is_connected,
     tree_heights,
 )
@@ -221,6 +222,25 @@ class TestAgainstDenseReference:
             tracemalloc.stop()
         assert len(tree.edges()) == len(pts) - 1
         assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("cell, reach", [(0.5, 0.5), (1.0, 1.0), (2.0, 1.0 + 1e-9), (4.0, 4.0), (64.0, 64.0)])
+def test_grid_pairs_are_every_pair_within_reach(cell, reach):
+    # 50 points sit the reach to the right of 50 others: with the reach as
+    # wide as a cell, those are the pairs the grid must not drop
+    rng = np.random.default_rng(int(cell * 4))
+    ticks = rng.integers(0, 40 * 1024, size=(400, 2)).astype(float)
+    ticks[:50] = ticks[50:100] + [[reach * 1024, 0]]
+    for offset in (0.0, -1e9, 3e9):
+        coords = ticks / 1024 + offset
+        a, b, d = grid_pairs(coords, cell, reach)
+        got = {(min(i, j), max(i, j)): x for i, j, x in zip(a.tolist(), b.tolist(), d.tolist())}
+        i, j = np.triu_indices(len(coords), k=1)
+        dist = np.hypot(coords[j, 0] - coords[i, 0], coords[j, 1] - coords[i, 1])
+        near = dist <= reach
+        assert got == dict(zip(zip(i[near].tolist(), j[near].tolist()), dist[near].tolist()))
+        assert len(a) == len(got)  # each pair once
+        assert grid_pairs(coords, cell, reach, most=len(got) - 1) is None
 
 
 # coordinates in 1024ths of a unit, up to 3; quarter steps make exact unit distances and ties common

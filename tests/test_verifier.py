@@ -1,14 +1,18 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     bfs_strongly_connected,
     binary_search_min_strong_radius,
     sampled_uncovered_point,
 )
+from sectornet import verifier
 from sectornet.errors import MissingOrientation, TooManyPoints
 from sectornet.geometry import Point, Wedge
 from sectornet.instances import collinear_witness, random_connected_udg
@@ -20,6 +24,7 @@ from sectornet.verifier import (
     _masks_strongly_connected,
     _row_masks,
     build_comm_graph,
+    certify_groups,
     covers_plane,
     feasible_by_bruteforce,
     is_strongly_connected_at,
@@ -27,6 +32,7 @@ from sectornet.verifier import (
     strongly_connected,
     tarjan_scc_count,
 )
+from test_topology import OFFSETS, jittered_lattice
 
 PI = math.pi
 
@@ -338,6 +344,229 @@ class TestMinStrongRadiusMatchesBinarySearch:
             min_strong_radius(pts, a)
         with pytest.raises(MissingOrientation):
             binary_search_min_strong_radius(pts, a)
+
+
+class DenseRoute(Exception):
+    pass
+
+
+def sparse_route(pts, a):
+    """min_strong_radius with the matrix sweep made to raise, so the result
+    must come from a sparse probe."""
+
+    def refuse(w):
+        raise DenseRoute(f"n={len(pts)} took the n x n matrix")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_bottleneck_level", refuse)
+        return min_strong_radius(pts, a)
+
+
+def walk(n, seed):
+    """A random walk of steps 0.6 to 1 long, heading within 60 degrees of +x:
+    a long chain whose unit disk graph is connected and sparse."""
+    rng = random.Random(seed)
+    pts = [P(0, 0, 0)]
+    for i in range(1, n):
+        ang, step = rng.uniform(-PI / 3, PI / 3), rng.uniform(0.6, 1.0)
+        pts.append(P(i, pts[-1].x + step * math.cos(ang), pts[-1].y + step * math.sin(ang)))
+    return pts
+
+
+def jittered_hex(k, seed):
+    """k x k hex lattice with spacing 0.9, each point moved by up to 0.04 per axis."""
+    jitter = np.random.default_rng(seed).uniform(-0.04, 0.04, size=(k * k, 2))
+    h = 0.9 * math.sqrt(3.0) / 2.0
+    return [
+        P(v, 0.9 * (v % k + 0.5 * (v // k % 2)) + jitter[v, 0], h * (v // k) + jitter[v, 1])
+        for v in range(k * k)
+    ]
+
+
+def facing_pairs(pts, alpha):
+    """Along a row sorted by id, even ids face +x and odd ids face -x: strong
+    at twice the spacing (3 -> 1 -> 0 and 0 -> 2 -> 3) and not below."""
+    return OrientationAssignment(
+        alpha=alpha, theta={p.id: 0.0 if p.id % 2 == 0 else PI for p in pts}, guaranteed_radius=1.0
+    )
+
+
+class TestSparseRouteMatchesBinarySearch:
+    """Inputs of SPARSE_MIN_N points or more probe R = 1, 2, 4, ... on the
+    grid before any n x n matrix; each result is the very float (or None) of
+    the binary search. ``sparse_route`` pins the inputs that a probe must
+    decide, so the sparse path cannot go dead unnoticed."""
+
+    @staticmethod
+    def same(r, pts, a):
+        assert r == binary_search_min_strong_radius(pts, a)
+        return r
+
+    @pytest.mark.parametrize("lattice", [jittered_lattice, jittered_hex])
+    def test_jittered_lattices_with_shuffled_ids(self, lattice):
+        grid = lattice(30, 1)
+        ids = list(range(len(grid)))
+        random.Random(2).shuffle(ids)
+        pts = [P(i, p.x, p.y) for i, p in zip(ids, grid)]
+        for a in (orient_all_180(pts), orient_all_90(pts)):
+            assert self.same(sparse_route(pts, a), pts, a) <= a.guaranteed_radius
+
+    def test_walks(self):
+        for seed in range(4):
+            pts = walk(100 + 50 * seed, seed)
+            for a in (orient_all_180(pts), orient_all_90(pts)):
+                self.same(sparse_route(pts, a), pts, a)
+
+    def test_coincident_points(self):
+        # a pair at distance 0 is an edge only where the rule puts the zero
+        # direction inside the wedge; the probe must agree with the matrix
+        base = walk(120, 7)
+        built = orient_all_180(base)
+        pts = base + [P(120, base[60].x, base[60].y)]
+        for turn in (0.0, PI / 2, PI):
+            theta = {**built.theta, 120: built.theta[60] + turn}
+            a = OrientationAssignment(alpha=PI, theta=theta, guaranteed_radius=1.0)
+            self.same(sparse_route(pts, a), pts, a)
+
+    def test_spread_blobs(self):
+        # random_connected_udg grows a blob from its own points, so even a box
+        # of n / 2 holds a compact cluster: these take the matrix
+        for seed in range(4):
+            pts = random_connected_udg(40 + 30 * seed, seed, (40 + 30 * seed) / 2)
+            for a in (orient_all_180(pts), orient_all_90(pts)):
+                self.same(min_strong_radius(pts, a), pts, a)
+
+    @pytest.mark.parametrize("spacing", [1, 2, 4])
+    def test_pairs_exactly_at_a_probe_radius(self, spacing):
+        # integer rows and lattices put whole classes of pairs at R itself
+        row = [P(i, spacing * i, 0) for i in range(40)]
+        for alpha in (PI, PI / 2):
+            a = facing_pairs(row, alpha)
+            assert self.same(sparse_route(row, a), row, a) == 2 * spacing
+        # the unit lattice's orientations, scaled: 180 degrees is strong at the
+        # spacing; 90 degrees needs more, where the grid is too full to probe
+        unit = [P(i, i % 8, i // 8) for i in range(64)]
+        lattice = [P(p.id, spacing * p.x, spacing * p.y) for p in unit]
+        a = orient_all_180(unit)
+        assert self.same(sparse_route(lattice, a), lattice, a) == spacing
+        a = orient_all_90(unit)
+        self.same(min_strong_radius(lattice, a), lattice, a)
+
+    def test_distances_within_eps_of_the_bottleneck(self):
+        # the bottleneck is 2; the last point moved in by 5e-10 puts the pair
+        # (37, 39) within EPS below it, and that distance is the answer
+        row = [P(i, i, 0) for i in range(39)] + [P(39, 39 - 5e-10, 0)]
+        a = facing_pairs(row, PI / 2)
+        assert self.same(sparse_route(row, a), row, a) == row[39].x - 37 < 2
+
+    def test_row_offset_by_1e9(self):
+        row = [P(i, 1e9 + 0.75 * i, -1e9) for i in range(40)]
+        for alpha in (PI, PI / 2):
+            a = facing_pairs(row, alpha)
+            assert self.same(sparse_route(row, a), row, a) == 1.5
+        for a in (orient_all_180(row), orient_all_90(row)):
+            self.same(sparse_route(row, a), row, a)
+
+    def test_random_theta(self):
+        rng = random.Random(12)
+        results = []
+        probed = 0
+        for seed in range(9):
+            pts = (jittered_lattice, jittered_hex)[seed % 2](15, seed)
+            for alpha in (PI, PI / 2):
+                if seed % 3 == 0:
+                    theta = {p.id: rng.uniform(0, 2 * PI) for p in pts}
+                else:
+                    # aim at a random neighbour within 1, jittered: feasible often
+                    theta = {}
+                    for p in pts:
+                        q = rng.choice([q for q in pts if q.id != p.id and p.dist(q) <= 1.0])
+                        theta[p.id] = math.atan2(q.y - p.y, q.x - p.x) + rng.uniform(-0.3, 0.3)
+                a = OrientationAssignment(alpha=alpha, theta=theta, guaranteed_radius=1.0)
+                try:
+                    r = sparse_route(pts, a)
+                    probed += 1
+                except DenseRoute:
+                    r = min_strong_radius(pts, a)
+                results.append(self.same(r, pts, a))
+        assert any(r is None for r in results)
+        assert sum(r is not None for r in results) >= 6
+        assert probed >= 4
+
+    def test_lattice_peak_memory_is_linear(self):
+        # n = 5041: an n x n float matrix alone is 203 MB
+        pts = jittered_lattice(71, 0)
+        for a in (orient_all_180(pts), orient_all_90(pts)):
+            tracemalloc.start()
+            try:
+                r = min_strong_radius(pts, a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert r <= a.guaranteed_radius
+            assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda pts, a: min_strong_radius(pts, a),
+        lambda pts, a: build_comm_graph(pts, a),
+        lambda pts, a: certify_groups(pts, a, [([0, 1, 2], None)]),
+    ],
+    ids=["min_strong_radius", "build_comm_graph", "certify_groups"],
+)
+def test_non_finite_coordinates_are_rejected(entry, bad):
+    # no distance, angle or grid cell holds a NaN or an infinity
+    pts = [P(0, 0, 0), P(1, bad, 0.5), P(2, 1, 0)]
+    a = OrientationAssignment(alpha=PI, theta={0: 0.0, 1: PI, 2: PI}, guaranteed_radius=2.0)
+    with pytest.raises(ValueError, match=r"^point 1 has non-finite coordinates$"):
+        entry(pts, a)
+
+
+# walk steps in 1024ths of a unit: 0.25 to 0.75 rightwards and up to 0.5 up
+# or down, so walks spread along x; eighth-unit steps make exact ties common
+STEPS = [(sx, sy) for sx in range(256, 769, 128) for sy in range(-512, 513, 128)]
+STEPS += [(sx, sy) for sx in range(256, 769, 37) for sy in range(-512, 513, 41)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    steps=st.integers(1, 150).flatmap(
+        lambda n: st.lists(st.sampled_from(STEPS), min_size=n, max_size=n)
+    ),
+    facing=st.booleans(),
+    alpha=st.sampled_from([PI, PI / 2]),
+    dx=OFFSETS,
+    dy=OFFSETS,
+    rnd=st.randoms(use_true_random=False),
+)
+def test_min_strong_radius_is_unchanged_by_translation_and_relabelling(
+    steps, facing, alpha, dx, dy, rnd
+):
+    # offsets up to 1e9 keep every coordinate, difference and distance exact,
+    # so the result is the same float, whichever route and probe decide it
+    cells = np.cumsum(steps, axis=0).tolist()
+    pts = [P(i, x / 1024, y / 1024) for i, (x, y) in enumerate(cells)]
+    if facing and len(pts) > 1:
+        # even ids aim at the next walk point, odd ids at the previous one:
+        # strong at a short radius, so long walks take a sparse probe
+        theta = {}
+        for p in pts:
+            q = pts[p.id + 1 if p.id % 2 == 0 and p.id + 1 < len(pts) else p.id - 1]
+            theta[p.id] = math.atan2(q.y - p.y, q.x - p.x)
+    else:
+        # eighths of a turn, so wedge boundaries fall on lattice directions
+        theta = {p.id: (sx + sy) % 8 * PI / 4 for p, (sx, sy) in zip(pts, steps)}
+    a = OrientationAssignment(alpha=alpha, theta=theta, guaranteed_radius=1.0)
+    r = min_strong_radius(pts, a)
+    assert min_strong_radius([P(p.id, p.x + dx, p.y + dy) for p in pts], a) == r
+    ids = list(range(len(pts)))
+    rnd.shuffle(ids)
+    relabelled = [P(ids[p.id], p.x, p.y) for p in pts]
+    theta = {ids[v]: t for v, t in theta.items()}
+    assert min_strong_radius(relabelled, OrientationAssignment(alpha=alpha, theta=theta, guaranteed_radius=1.0)) == r
 
 
 class TestCoversPlane:

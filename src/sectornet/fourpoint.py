@@ -19,12 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import ConstructionInvariantViolated, NotGeneralPosition, SearchExhausted
 from .geometry import Point, QuadClass, QuadKind, Wedge, classify_quad, normalize_angle
 from .orientation import OrientationAssignment
-from .verifier import (
-    _coverage_masks,
-    _masks_strongly_connected,
-    covers_plane,
-    is_strongly_connected_at,
-)
+from .verifier import _coverage_masks, _masks_strongly_connected, covers_plane
 
 QUARTER = 0.5 * math.pi
 
@@ -156,16 +151,17 @@ def four_point_thetas(qc: QuadClass) -> Optional[Dict[int, float]]:
 
 
 def orient_four(points: Sequence[Point]) -> FourPointResult:
-    """Constructive orientation for four points in general position, checked
-    for strong connectivity at the maximum pairwise distance and for full
-    directional plane coverage; ConstructionInvariantViolated when the rule
-    misses or fails either check, never a silent fallback."""
+    """Constructive orientation for four points in general position (any
+    distinct ids), checked for strong connectivity at the maximum pairwise
+    distance and for full directional plane coverage; ConstructionInvariantViolated
+    when the rule misses or fails either check, never a silent fallback."""
     qc, pts, dmax, case = _prepare(points)
     theta = four_point_thetas(qc)
     if theta is not None:
         res = FourPointResult(theta=theta, dmax=dmax, case=case)
         a = res.assignment()
-        if is_strongly_connected_at(pts, a, dmax) and covers_plane(a.wedges(pts)):
+        masks = [_coverage_masks(pts, i, [a.theta[p.id]], QUARTER, dmax)[0] for i, p in enumerate(pts)]
+        if _masks_strongly_connected(masks, 4) and covers_plane(a.wedges(pts)):
             return res
     raise ConstructionInvariantViolated(
         f"four-point rule failed on a {case} quadruple; "

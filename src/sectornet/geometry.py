@@ -104,15 +104,15 @@ def angle_diff(a: float, b: float) -> float:
     return min(d, TAU - d)
 
 
-def point_in_wedge(w: Wedge, q: Point, eps: float = EPS) -> bool:
-    """Closed membership of q in the wedge; the apex never covers itself."""
+def point_in_wedge(w: Wedge, q: Point) -> bool:
+    """Closed membership of q in the wedge, within EPS; the apex never covers itself."""
     dx = q.x - w.apex.x
     dy = q.y - w.apex.y
     if dx == 0.0 and dy == 0.0:
         return False
-    if math.hypot(dx, dy) > w.r + eps:
+    if math.hypot(dx, dy) > w.r + EPS:
         return False
-    return angle_diff(math.atan2(dy, dx), w.theta) <= 0.5 * w.alpha + eps
+    return angle_diff(math.atan2(dy, dx), w.theta) <= 0.5 * w.alpha + EPS
 
 
 def cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:

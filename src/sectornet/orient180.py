@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import TooFewPoints
 from .geometry import Point, cross, direction, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import RootedTree, bounded_degree_mst, carve, check_point_ids
+from .topology import RootedTree, bounded_degree_mst, carve, point_set
 from .verifier import check_construction
 
 RADIUS_180 = 1.0 + math.sqrt(3.0)
@@ -158,7 +158,7 @@ def _orient_group(
 
 def plan_groups_180(points: Sequence[Point], t: RootedTree) -> Tuple[List[Group180], Dict[int, float]]:
     """Partition plus per-group wedge angles and roles."""
-    pts = sorted(points, key=lambda p: p.id)
+    pts = point_set(points)
     theta: Dict[int, float] = {}
     groups = [_orient_group(g, pts, theta) for g in partition_groups_180(t)]
     return groups, theta
@@ -170,13 +170,13 @@ def orient_all_180(points: Sequence[Point]) -> OrientationAssignment:
     ``check_construction``, which raises ConstructionInvariantViolated rather
     than returning a bad assignment.
 
-    DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
-    decides the unit disk graph precondition."""
-    check_point_ids(points)
-    if len(points) < 2:
+    ValueError comes from ``point_set``; DuplicatePoint and DisconnectedInput
+    from bounded_degree_mst, which decides the unit disk graph precondition."""
+    pts = point_set(points)
+    if len(pts) < 2:
         raise TooFewPoints("need at least 2 points")
-    tree = bounded_degree_mst(points)
-    groups, theta = plan_groups_180(points, tree)
+    tree = bounded_degree_mst(pts)
+    groups, theta = plan_groups_180(pts, tree)
     assignment = OrientationAssignment(
         alpha=math.pi,
         theta=theta,
@@ -185,7 +185,7 @@ def orient_all_180(points: Sequence[Point]) -> OrientationAssignment:
     )
     group_tree = [((g.parent,) + g.members, g.attached_above) for g in groups]
     return check_construction(
-        points, assignment, group_tree,
+        pts, assignment, group_tree,
         "180-degree construction not strongly connected at 1+sqrt(3); "
         "preserve this instance as a regression fixture",
     )

@@ -20,7 +20,7 @@ from .errors import ConstructionInvariantViolated, TooFewPoints, TooManyPoints
 from .fourpoint import _dmax, four_point_thetas, search_cover_orientation
 from .geometry import Point, QuadClass, QuadKind, TAU, classify_quad, collinear, direction, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import RootedTree, bounded_degree_mst, carve, check_point_ids
+from .topology import RootedTree, bounded_degree_mst, carve, point_set
 from .verifier import check_construction
 
 RADIUS_90 = 7.0
@@ -57,16 +57,15 @@ def orient_small(points: Sequence[Point]) -> OrientationAssignment:
     companion. Strongly connected at radius 2 (max pairwise distance <= 2
     when the unit disk graph is connected).
 
-    DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
-    decides the unit disk graph precondition."""
-    check_point_ids(points)
-    n = len(points)
+    ValueError comes from ``point_set``; DuplicatePoint and DisconnectedInput
+    from bounded_degree_mst, which decides the unit disk graph precondition."""
+    pts = point_set(points)
+    n = len(pts)
     if n > 3:
         raise TooManyPoints("orient_small handles at most 3 points")
     if n < 2:
         raise TooFewPoints("need at least 2 points")
-    bounded_degree_mst(points)
-    pts = sorted(points, key=lambda p: p.id)
+    bounded_degree_mst(pts)
     theta: Dict[int, float] = {}
     if n == 2:
         a, b = pts
@@ -207,16 +206,12 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
     plane-cover search. The result checks itself once, through its groups and
     the root remainder (``check_construction``).
 
-    DuplicatePoint and DisconnectedInput come from bounded_degree_mst, which
-    decides the unit disk graph precondition (via orient_small for two or
-    three points)."""
-    check_point_ids(points)
-    if len(points) < 2:
-        raise TooFewPoints("need at least 2 points")
-    if len(points) <= 3:
-        return orient_small(points)
+    ValueError comes from ``point_set``; DuplicatePoint and DisconnectedInput
+    from bounded_degree_mst (via orient_small below four points)."""
+    pts = point_set(points)
+    if len(pts) <= 3:
+        return orient_small(pts)
 
-    pts = sorted(points, key=lambda p: p.id)
     tree = bounded_degree_mst(pts)
     groups, remainder = extract_groups_90(tree)
     theta: Dict[int, float] = {}

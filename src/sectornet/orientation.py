@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from .errors import MissingOrientation
 from .geometry import Point, Wedge, normalize_angle
@@ -29,10 +29,10 @@ class OrientationAssignment:
             self, "theta", {i: normalize_angle(t) for i, t in self.theta.items()}
         )
 
-    def wedge(self, p: Point, r: Optional[float] = None) -> Wedge:
+    def wedge(self, p: Point) -> Wedge:
         if p.id not in self.theta:
             raise MissingOrientation(f"no orientation for point id {p.id}")
-        return Wedge(p, self.theta[p.id], self.alpha, self.guaranteed_radius if r is None else r)
+        return Wedge(p, self.theta[p.id], self.alpha, self.guaranteed_radius)
 
-    def wedges(self, points: Sequence[Point], r: Optional[float] = None):
-        return [self.wedge(p, r) for p in points]
+    def wedges(self, points: Sequence[Point]):
+        return [self.wedge(p) for p in points]

@@ -1,12 +1,13 @@
-"""Unit disk graph, connectivity, and a degree-5 Euclidean spanning tree.
+"""Input rule, unit disk graph, connectivity, and a degree-5 Euclidean spanning tree.
 
-All three read one list: the pairs within unit distance, sorted by (distance,
-smaller id, larger id). That strict order makes the MST unique; Boruvka rounds
-find it. Any degree-6 vertex (only possible under exact 60-degree ties) is
-repaired by swapping one incident edge for an equal-length pair, so the tree
-keeps minimum total length with maximum degree five. The grid that finds the
-pairs, ``grid_pairs``, takes any power-of-two cell, and the verifier's radius
-probes use it too.
+``point_set`` is the input rule of every entry that takes a point set (ids
+exactly 0..n-1, finite coordinates). The graph layers read one list: the pairs
+within unit distance, sorted by (distance, smaller id, larger id). That strict
+order makes the MST unique; Boruvka rounds find it. Any degree-6 vertex (only
+possible under exact 60-degree ties) is repaired by swapping one incident edge
+for an equal-length pair, so the tree keeps minimum total length with maximum
+degree five. The grid that finds the pairs, ``grid_pairs``, takes any
+power-of-two cell, and the verifier's radius probes use it too.
 """
 
 from __future__ import annotations
@@ -72,13 +73,25 @@ def as_coords(points: Sequence[Point]) -> np.ndarray:
     return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
-def check_point_ids(points: Sequence[Point]) -> None:
-    ids = sorted(p.id for p in points)
-    if ids != list(range(len(points))):
+class PointSet(tuple):
+    """Points sorted by id, the ids exactly 0..n-1, and ``coords``, their (n, 2)
+    coordinates as a read-only array; made by ``point_set``."""
+
+
+def point_set(points: Sequence[Point]) -> PointSet:
+    """The points as one ``PointSet`` (which passes as it is); ValueError unless
+    the ids run exactly 0..n-1 and every coordinate is finite."""
+    if isinstance(points, PointSet):
+        return points
+    pts = PointSet(sorted(points, key=lambda p: p.id))
+    if [p.id for p in pts] != list(range(len(pts))):
         raise ValueError("point ids must be distinct and contiguous from 0")
-    for p in points:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise ValueError(f"point {p.id} has non-finite coordinates")
+    pts.coords = as_coords(pts)
+    pts.coords.flags.writeable = False
+    bad = ~np.isfinite(pts.coords).all(axis=1)
+    if bad.any():
+        raise ValueError(f"point {bad.argmax()} has non-finite coordinates")
+    return pts
 
 
 def grid_pairs(
@@ -127,15 +140,13 @@ def _udg_pairs(coords: np.ndarray) -> Pairs:
     return i[ranked], j[ranked], d[ranked]
 
 
-def _distinct_points(points: Sequence[Point]) -> Tuple[List[Point], Pairs]:
-    """Points sorted by id and their ``_udg_pairs``. Raises ValueError on bad ids
-    or coordinates, TooFewPoints on an empty input and DuplicatePoint when two
-    points coincide within EPS."""
-    check_point_ids(points)
-    if len(points) < 1:
+def _distinct_points(points: Sequence[Point]) -> Tuple[PointSet, Pairs]:
+    """``point_set`` of the points and its ``_udg_pairs``; TooFewPoints when
+    empty, DuplicatePoint when two points coincide within EPS."""
+    pts = point_set(points)
+    if len(pts) < 1:
         raise TooFewPoints("need at least one point")
-    pts = sorted(points, key=lambda p: p.id)
-    i, j, d = pairs = _udg_pairs(as_coords(pts))
+    i, j, d = pairs = _udg_pairs(pts.coords)
     close = int(np.searchsorted(d, EPS, "right"))
     if close:
         a, b = min(zip(i[:close].tolist(), j[:close].tolist()))
@@ -244,10 +255,9 @@ def _repair_degree(adj: Dict[int, set], pairs: Pairs) -> None:
 def bounded_degree_mst(points: Sequence[Point]) -> RootedTree:
     """Euclidean MST with max degree 5, rooted at a highest point (ties: smallest id).
 
-    This is where the constructions validate their input: raises ValueError
-    on bad ids or coordinates, DuplicatePoint when two points coincide, and
-    DisconnectedInput when the unit disk graph is not connected. Total edge
-    length equals the unconstrained Euclidean MST length.
+    Raises ValueError where ``point_set`` does, DuplicatePoint when two points
+    coincide, and DisconnectedInput when the unit disk graph is not connected.
+    Total edge length equals the unconstrained Euclidean MST length.
     """
     pts, pairs = _distinct_points(points)
     n = len(pts)

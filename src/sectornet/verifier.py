@@ -17,6 +17,9 @@ a probe at R = 1, 2, 4, ... runs both sweeps on the pairs within R alone,
 found on the grid of ``topology.grid_pairs``, and builds no n x n array; the
 first probe whose sweeps reach every node gives the exact result. Dense
 inputs, small ones and those no probe decides take the n x n matrix.
+
+Every entry that takes a point set validates it with ``topology.point_set``;
+the brute force and ``_coverage_masks`` work by position, on any distinct ids.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import ConstructionInvariantViolated, MissingOrientation, TooManyPoints
 from .geometry import EPS, TAU, Point, Wedge, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import Pairs, as_coords, grid_pairs
+from .topology import Pairs, as_coords, grid_pairs, point_set
 
 # Candidate-angle nudge for brute-force grids: above membership EPS, below
 # geometric feature scale, so it selects each open side of a breakpoint
@@ -87,18 +90,12 @@ def _wedge_rule(
 def _id_arrays(
     points: Sequence[Point], assignment: OrientationAssignment
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Coordinates and bisectors of the points, in id order. Raises ValueError
-    on non-finite coordinates, which no distance or grid cell can hold."""
-    pts = sorted(points, key=lambda p: p.id)
+    """Coordinates and bisectors of the ``point_set`` of the points, in id order."""
+    pts = point_set(points)
     missing = [p.id for p in pts if p.id not in assignment.theta]
     if missing:
         raise MissingOrientation(f"no orientation for point ids {missing}")
-    theta = np.array([assignment.theta[p.id] for p in pts], dtype=float)
-    coords = as_coords(pts)
-    if not np.isfinite(coords).all():
-        bad = pts[int(np.isfinite(coords).all(axis=1).argmin())].id
-        raise ValueError(f"point {bad} has non-finite coordinates")
-    return coords, theta
+    return pts.coords, np.array([assignment.theta[p.id] for p in pts], dtype=float)
 
 
 def build_comm_graph(
@@ -270,8 +267,9 @@ def check_construction(
     """The self-check every construction exits through: the group certificate,
     else the dense check at the assignment's radius, else
     ConstructionInvariantViolated(failure). Returns the assignment."""
+    pts = point_set(points)
     r = assignment.guaranteed_radius
-    if certify_groups(points, assignment, groups) or is_strongly_connected_at(points, assignment, r):
+    if certify_groups(pts, assignment, groups) or is_strongly_connected_at(pts, assignment, r):
         return assignment
     raise ConstructionInvariantViolated(failure)
 

@@ -31,10 +31,9 @@ from sectornet.orientation import OrientationAssignment
 from sectornet.topology import (
     MAX_TREE_DEGREE,
     RootedTree,
-    as_coords,
     build_udg,
-    check_point_ids,
     is_connected,
+    point_set,
 )
 from sectornet.verifier import is_strongly_connected_at
 
@@ -341,17 +340,16 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     return np.hypot(d[..., 0], d[..., 1])
 
 
-def _distinct_points(points: Sequence[Point]) -> Tuple[List[Point], np.ndarray]:
+def _distinct_points(points: Sequence[Point]) -> Tuple[Sequence[Point], np.ndarray]:
     """Points sorted by id and their distance matrix.
 
     Raises ValueError on bad ids or coordinates, TooFewPoints on an empty
     input and DuplicatePoint when two points coincide within EPS.
     """
-    check_point_ids(points)
-    if len(points) < 1:
+    pts = point_set(points)
+    if len(pts) < 1:
         raise TooFewPoints("need at least one point")
-    pts = sorted(points, key=lambda p: p.id)
-    dist = pairwise_distances(as_coords(pts))
+    dist = pairwise_distances(pts.coords)
     close = np.argwhere(np.triu(dist <= EPS, k=1))
     if len(close):
         i, j = close[0]

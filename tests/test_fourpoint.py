@@ -7,7 +7,8 @@ from sectornet import fourpoint, orient90
 from sectornet.errors import ConstructionInvariantViolated, NotGeneralPosition
 from sectornet.fourpoint import FourPointResult, _dmax, orient_four, search_orient_four
 from sectornet.geometry import Point, QuadKind, classify_quad, normalize_angle
-from sectornet.verifier import build_comm_graph, covers_plane, strongly_connected
+from sectornet.orientation import OrientationAssignment
+from sectornet.verifier import build_comm_graph, covers_plane, feasible_by_bruteforce, strongly_connected
 from test_certificate import differential_instances
 
 PI = math.pi
@@ -25,9 +26,13 @@ def random_general_quad(rng, scale=2.0):
 
 
 def assert_guarantees(pts, res):
-    a = res.assignment()
-    assert strongly_connected(build_comm_graph(pts, a, r_override=res.dmax))
-    assert covers_plane(a.wedges(pts))
+    # the quad may carry any distinct ids; build_comm_graph takes 0..n-1
+    rank = {p.id: k for k, p in enumerate(sorted(pts, key=lambda p: p.id))}
+    quad = [Point(rank[p.id], p.x, p.y) for p in pts]
+    theta = {rank[i]: t for i, t in res.theta.items()}
+    a = OrientationAssignment(alpha=0.5 * PI, theta=theta, guaranteed_radius=res.dmax)
+    assert strongly_connected(build_comm_graph(quad, a))
+    assert covers_plane(a.wedges(quad))
 
 
 class TestOrientFour:
@@ -165,3 +170,28 @@ class TestSearchOrientFour:
             orient_four(pts)  # succeeds
             res = search_orient_four(pts)  # must also find one
             assert_guarantees(pts, res)
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [
+        [P(0, 0, 1), P(1, 1.1, 1), P(2, 1, 0), P(3, 0, 0.2)],
+        [P(0, 0, 0), P(1, 2, 2), P(2, 4, 0), P(3, 2, 1)],
+    ],
+    ids=["convex", "nonconvex"],
+)
+def test_any_distinct_ids_give_the_same_theta(quad):
+    # the four-point and brute-force helpers work by position, so ids 2, 5, 9
+    # and 11 give the theta of ids 0 to 3, remapped
+    ids = (2, 5, 9, 11)
+    relabelled = [P(ids[p.id], p.x, p.y) for p in reversed(quad)]
+
+    def remapped(theta):
+        return {ids[i]: t for i, t in theta.items()}
+
+    assert orient_four(relabelled).theta == remapped(orient_four(quad).theta)
+    assert search_orient_four(relabelled).theta == remapped(search_orient_four(quad).theta)
+    found, a = feasible_by_bruteforce(quad, 0.5 * PI, _dmax(quad))
+    found_relabelled, b = feasible_by_bruteforce(relabelled, 0.5 * PI, _dmax(quad))
+    assert found and found_relabelled
+    assert b.theta == remapped(a.theta)

@@ -16,15 +16,17 @@ from sectornet import verifier
 from sectornet.errors import MissingOrientation, TooManyPoints
 from sectornet.geometry import Point, Wedge
 from sectornet.instances import collinear_witness, random_connected_udg
-from sectornet.orient180 import orient_all_180
-from sectornet.orient90 import orient_all_90
+from sectornet.orient180 import orient_all_180, plan_groups_180
+from sectornet.orient90 import orient_all_90, orient_small
 from sectornet.orientation import OrientationAssignment
+from sectornet.topology import bounded_degree_mst, build_udg
 from sectornet.verifier import (
     CommGraph,
     _masks_strongly_connected,
     _row_masks,
     build_comm_graph,
     certify_groups,
+    check_construction,
     covers_plane,
     feasible_by_bruteforce,
     is_strongly_connected_at,
@@ -507,21 +509,44 @@ class TestSparseRouteMatchesBinarySearch:
             assert peak < 32 * 2**20
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda pts, a: min_strong_radius(pts, a),
-        lambda pts, a: build_comm_graph(pts, a),
-        lambda pts, a: certify_groups(pts, a, [([0, 1, 2], None)]),
-    ],
-    ids=["min_strong_radius", "build_comm_graph", "certify_groups"],
-)
-def test_non_finite_coordinates_are_rejected(entry, bad):
-    # no distance, angle or grid cell holds a NaN or an infinity
-    pts = [P(0, 0, 0), P(1, bad, 0.5), P(2, 1, 0)]
-    a = OrientationAssignment(alpha=PI, theta={0: 0.0, 1: PI, 2: PI}, guaranteed_radius=2.0)
-    with pytest.raises(ValueError, match=r"^point 1 has non-finite coordinates$"):
+BAD_INPUTS = [
+    pytest.param(
+        [P(0, 0, 0), P(1, bad, 0.5), P(2, 1, 0)], r"^point 1 has non-finite coordinates$", id=str(bad)
+    )
+    for bad in (math.nan, math.inf, -math.inf)
+] + [
+    pytest.param(
+        [P(0, 0, 0), P(5, 0.5, 0.5), P(7, 1, 0)],
+        r"^point ids must be distinct and contiguous from 0$",
+        id="ids-0-5-7",
+    )
+]
+TRIANGLE_TREE = bounded_degree_mst([P(0, 0, 0), P(1, 0.5, 0.5), P(2, 1, 0)])
+POINT_SET_ENTRIES = {
+    "min_strong_radius": lambda pts, a: min_strong_radius(pts, a),
+    "build_comm_graph": lambda pts, a: build_comm_graph(pts, a),
+    "certify_groups": lambda pts, a: certify_groups(pts, a, [([p.id for p in pts], None)]),
+    "is_strongly_connected_at": lambda pts, a: is_strongly_connected_at(pts, a, 2.0),
+    "check_construction": lambda pts, a: check_construction(pts, a, [([p.id for p in pts], None)], "failed"),
+    "bounded_degree_mst": lambda pts, a: bounded_degree_mst(pts),
+    "build_udg": lambda pts, a: build_udg(pts),
+    "orient_all_180": lambda pts, a: orient_all_180(pts),
+    "orient_all_90": lambda pts, a: orient_all_90(pts),
+    "orient_small": lambda pts, a: orient_small(pts),
+    "plan_groups_180": lambda pts, a: plan_groups_180(pts, TRIANGLE_TREE),
+}
+
+
+@pytest.mark.parametrize("pts, message", BAD_INPUTS)
+@pytest.mark.parametrize("entry", list(POINT_SET_ENTRIES.values()), ids=list(POINT_SET_ENTRIES))
+def test_non_finite_coordinates_are_rejected(entry, pts, message):
+    # one input rule for every graph-level entry: ids exactly 0..n-1, as
+    # nothing relabels them, and finite coordinates, as no distance, angle or
+    # grid cell holds a NaN or an infinity
+    a = OrientationAssignment(
+        alpha=PI, theta={p.id: PI * (p.id > 0) for p in pts}, guaranteed_radius=2.0
+    )
+    with pytest.raises(ValueError, match=message):
         entry(pts, a)
 
 

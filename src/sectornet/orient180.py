@@ -15,7 +15,7 @@ at the parent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TooFewPoints
@@ -26,30 +26,18 @@ from .verifier import check_construction
 
 RADIUS_180 = 1.0 + math.sqrt(3.0)
 
-PAIR_ANCHOR = "pair_anchor"
-PAIRED_CHILD = "paired_child"
-TRIPLET_CHILD = "triplet_child"
-
-
-@dataclass(frozen=True)
-class Role:
-    kind: str
-    partner: Optional[int] = None
-
 
 @dataclass(frozen=True)
 class Group180:
     """One orientation group: a parent node and the children grouped with it.
 
     ``attached_above`` is the parent's own parent in the residual tree at
-    removal time (None for the tree root). ``roles`` is filled in by the
-    orienter; the partition itself is purely combinatorial.
+    removal time (None for the tree root).
     """
 
     parent: int
     members: Tuple[int, ...]
     attached_above: Optional[int]
-    roles: Dict[int, Role] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -99,68 +87,41 @@ def pair_smallest_angle(p: Point, children: Sequence[Point]) -> Tuple[Point, Poi
     return best[1]
 
 
-def _orient_pair(a: Point, b: Point, theta: Dict[int, float]) -> None:
-    """Half-plane wedges aligned with segment ab, covering opposite sides."""
+def _orient_pair(a: Point, b: Point, side: float, theta: Dict[int, float]) -> None:
+    """Half-plane wedges aligned with segment ab, covering opposite sides:
+    a takes the left side of a->b when ``side`` is 1.0, the right when -1.0."""
     d = direction(a, b)
-    theta[a.id] = normalize_angle(d + 0.5 * math.pi)
-    theta[b.id] = normalize_angle(d - 0.5 * math.pi)
+    theta[a.id] = normalize_angle(d + side * 0.5 * math.pi)
+    theta[b.id] = normalize_angle(d - side * 0.5 * math.pi)
 
 
-def _orient_triplet(p: Point, c1: Point, c2: Point, theta: Dict[int, float]) -> None:
-    """Parent's boundary along p-c1 on the side containing c2 (left side when
-    c2 is exactly on the line); c1 takes the complementary half-plane; c2
-    takes any half-plane containing p."""
-    d = direction(p, c1)
-    s = 1.0 if cross(p.x, p.y, c1.x, c1.y, c2.x, c2.y) >= 0.0 else -1.0
-    theta[p.id] = normalize_angle(d + s * 0.5 * math.pi)
-    theta[c1.id] = normalize_angle(d - s * 0.5 * math.pi)
-    theta[c2.id] = direction(c2, p)
-
-
-def _orient_group(
-    group: Group180, pts: Sequence[Point], theta: Dict[int, float]
-) -> Group180:
+def _orient_group(group: Group180, pts: Sequence[Point], theta: Dict[int, float]) -> None:
     p = pts[group.parent]
     kids = [pts[i] for i in group.members]
-    roles: Dict[int, Role] = {}
-    if len(kids) == 0:
-        theta[p.id] = 1.5 * math.pi  # singleton root aims straight down
-    elif len(kids) == 1:
-        _orient_pair(p, kids[0], theta)
-        roles[p.id] = Role(PAIR_ANCHOR, kids[0].id)
-        roles[kids[0].id] = Role(PAIRED_CHILD, p.id)
-    elif len(kids) == 2:
-        c1, c2 = sorted(kids, key=lambda q: q.id)
-        _orient_triplet(p, c1, c2, theta)
-        roles[p.id] = Role(PAIR_ANCHOR, c1.id)
-        roles[c1.id] = Role(PAIRED_CHILD, p.id)
-        roles[c2.id] = Role(TRIPLET_CHILD)
-    else:
+    if len(kids) >= 3:
         cx, cy = pair_smallest_angle(p, kids)
-        rest = sorted((k for k in kids if k.id not in (cx.id, cy.id)), key=lambda q: q.id)
-        _orient_pair(cx, cy, theta)
-        roles[cx.id] = Role(PAIRED_CHILD, cy.id)
-        roles[cy.id] = Role(PAIRED_CHILD, cx.id)
-        if len(rest) == 1:
-            _orient_pair(p, rest[0], theta)
-        else:
-            _orient_triplet(p, rest[0], rest[1], theta)
-            roles[rest[1].id] = Role(TRIPLET_CHILD)
-        roles[p.id] = Role(PAIR_ANCHOR, rest[0].id)
-        roles[rest[0].id] = Role(PAIRED_CHILD, p.id)
-    return Group180(
-        parent=group.parent,
-        members=group.members,
-        attached_above=group.attached_above,
-        roles=roles,
-    )
+        _orient_pair(cx, cy, 1.0, theta)
+        kids = [k for k in kids if k.id not in (cx.id, cy.id)]
+    kids.sort(key=lambda q: q.id)
+    if not kids:
+        theta[p.id] = 1.5 * math.pi  # singleton root aims straight down
+        return
+    # p's boundary runs along p-c1, on the side holding c2 (left when c2 is
+    # on the line, or absent); c2 aims at p
+    c1, c2 = kids[0], kids[-1]
+    side = 1.0 if cross(p.x, p.y, c1.x, c1.y, c2.x, c2.y) >= 0.0 else -1.0
+    _orient_pair(p, c1, side, theta)
+    if len(kids) == 2:
+        theta[c2.id] = direction(c2, p)
 
 
 def plan_groups_180(points: Sequence[Point], t: RootedTree) -> Tuple[List[Group180], Dict[int, float]]:
-    """Partition plus per-group wedge angles and roles."""
+    """The partition of ``partition_groups_180`` and every node's wedge angle."""
     pts = point_set(points)
     theta: Dict[int, float] = {}
-    groups = [_orient_group(g, pts, theta) for g in partition_groups_180(t)]
+    groups = partition_groups_180(t)
+    for g in groups:
+        _orient_group(g, pts, theta)
     return groups, theta
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -216,14 +216,12 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
     groups, remainder = extract_groups_90(tree)
     theta: Dict[int, float] = {}
     rep_dmax: List[float] = []
-    final_groups: List[Group90] = []
     for g in groups:
         member_pts = [pts[i] for i in sorted(g.members)]
         reps, qc = _general_position_reps(g, pts) or (g.representatives, None)
         found = None if qc is None else four_point_thetas(qc)
         if found is None and all(collinear(member_pts[0], member_pts[1], q) for q in member_pts[2:]):
             theta.update(_line_thetas(member_pts))
-            final_groups.append(replace(g, representatives=()))
             continue
         if found is None:
             # degenerate but not collinear (e.g. lattice groups where every
@@ -243,10 +241,9 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
                 continue
             target = min(rep_pts, key=lambda rp: (pts[m].dist(rp), rp.id))
             theta[m] = direction(pts[m], target)
-        final_groups.append(replace(g, representatives=tuple(reps)))
 
     if remainder:
-        adjacent = [g for g in final_groups if g.attach_parent in remainder]
+        adjacent = [g for g in groups if g.attach_parent in remainder]
         q = pts[adjacent[-1].subtree_root]
         for m in remainder:
             theta[m] = direction(pts[m], q)
@@ -256,14 +253,14 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
         theta=theta,
         guaranteed_radius=RADIUS_90,
         diagnostics={
-            "group_sizes": [len(g.members) for g in final_groups],
+            "group_sizes": [len(g.members) for g in groups],
             "remainder_size": len(remainder),
             "rep_dmax": rep_dmax,
             "all_groups_full": not remainder,
             "applicable_bound": 5.0 if not remainder else 7.0,
         },
     )
-    group_tree = [(g.members, g.attach_parent) for g in final_groups] + [(remainder, None)]
+    group_tree = [(g.members, g.attach_parent) for g in groups] + [(remainder, None)]
     return check_construction(
         pts, assignment, group_tree,
         "90-degree construction not strongly connected at r=7; "

@@ -7,8 +7,6 @@ from sectornet.errors import DisconnectedInput, DuplicatePoint, TooFewPoints
 from sectornet.geometry import Point, Wedge, angle_diff, direction, point_in_wedge
 from sectornet.instances import random_connected_udg
 from sectornet.orient180 import (
-    PAIR_ANCHOR,
-    PAIRED_CHILD,
     RADIUS_180,
     orient_all_180,
     pair_smallest_angle,
@@ -176,6 +174,18 @@ def directional_cover(theta, apex, q):
     return point_in_wedge(w, q)
 
 
+def theta_pairs(group, theta):
+    """Members of one group whose half-plane bisectors differ by pi: the pairs
+    that take complementary half-planes."""
+    ids = (group.parent,) + group.members
+    return [
+        (i, j)
+        for k, i in enumerate(ids)
+        for j in ids[k + 1 :]
+        if abs(angle_diff(theta[i], theta[j]) - PI) <= 1e-9
+    ]
+
+
 class TestPairProperties:
     def test_plane_partition_of_pairs(self):
         rng = random.Random(23)
@@ -185,10 +195,7 @@ class TestPairProperties:
             groups, theta = plan_groups_180(pts, tree)
             by_id = {p.id: p for p in pts}
             for g in groups:
-                for i, role in g.roles.items():
-                    if role.kind != PAIR_ANCHOR:
-                        continue
-                    j = role.partner
+                for i, j in theta_pairs(g, theta):
                     for _ in range(40):
                         q = P(99999, rng.uniform(-8, 8), rng.uniform(-8, 8))
                         assert directional_cover(theta[i], by_id[i], q) or directional_cover(
@@ -203,11 +210,13 @@ class TestPairProperties:
             groups, theta = plan_groups_180(pts, tree)
             by_id = {p.id: p for p in pts}
             for g in groups:
-                role = g.roles.get(g.parent)
-                if role is None or role.kind != PAIR_ANCHOR:
+                # every parent with children pairs with exactly one of them
+                partners = [j for i, j in theta_pairs(g, theta) if i == g.parent]
+                assert len(partners) == (1 if g.members else 0)
+                if not partners:
                     continue
                 p = by_id[g.parent]
-                partner = by_id[role.partner]
+                partner = by_id[partners[0]]
                 for _ in range(40):
                     ang = rng.uniform(0, 2 * PI)
                     rad = rng.uniform(0, 1)
@@ -224,7 +233,6 @@ class TestPairProperties:
         groups, theta = plan_groups_180(pts, tree)
         by_id = {p.id: p for p in pts}
         for g in groups:
-            for i, role in g.roles.items():
-                if role.kind in (PAIR_ANCHOR, PAIRED_CHILD):
-                    j = role.partner
-                    assert angle_diff(theta[i], direction(by_id[i], by_id[j])) <= PI / 2 + 1e-9
+            for i, j in theta_pairs(g, theta):
+                assert angle_diff(theta[i], direction(by_id[i], by_id[j])) <= PI / 2 + 1e-9
+                assert angle_diff(theta[j], direction(by_id[j], by_id[i])) <= PI / 2 + 1e-9

@@ -2,14 +2,35 @@
 orient each group so the communication graph is strongly connected at
 radius 1 + sqrt(3).
 
-Groups are removed deepest first: each is the deepest height-one node of the
-residual tree (ties: smallest id) together with its children. Within a
-group, one child is paired with the parent (their half-plane wedges share
-the boundary line through both and cover opposite sides, so together they
-see the whole plane and each other); two further children may be paired with
-each other the same way, chosen to form a smallest angle at the parent so
-their mutual distance stays below sqrt(3); any remaining child simply aims
-at the parent.
+Groups are removed deepest first: each is the deepest height-one node p of
+the residual tree (ties: smallest id) together with its children, at most
+four. Every tree edge is at most 1 long. A *pair* (a, b) takes half-plane
+wedges whose common boundary is the line ab, covering opposite sides, so
+together they see the whole plane and each other. One rule orients every
+group:
+
+- three or more children: the two forming the smallest angle at p pair up
+  and leave the group (their distance is at most sqrt(3));
+- then, with the remaining children c1 < c2 by id: p pairs with c1, p's
+  half-plane holding c2 (left of p->c1 when c2 is on the line or absent),
+  and c2 faces p;
+- no children (the leftover root): p faces straight down.
+
+Proof sketch. Inside a group every node reaches p within 2 and p reaches
+every node within 2, so each group is strongly connected. A group hung from
+node a has its top x within 1 of a. Upward, x's pair covers the plane, and a
+lies within 2 of both. Downward, a's own group reaches x: if a is in a pair
+whose partner is within d of a, that pair holds x within 1 + d <= 1 + sqrt(3);
+the leftover root faces down onto x. If a = c2, p's half-plane holds x within
+2 when x is on c2's side of line p-c1, and c1 holds x when x is within
+1 + sqrt(3) of c1. Otherwise x is *missed*, and c2 turns to the half-plane
+that holds p and every missed top, centred on the arc their directions span.
+The step that was open is that such a half-plane always exists. Take n, the
+normal of line p-c1 pointing into c1's open side. Each missed x lies strictly
+on that side and c2 does not, so (x - c2).n > 0; p lies on the line, so
+(p - c2).n >= 0. The half-plane at c2 with bisector n therefore holds them
+all. Only rounding at the exact tie, with c2 on line p-c1, can leave the
+computed gap below pi. Then c2 keeps facing p, and the self-check decides.
 """
 
 from __future__ import annotations
@@ -19,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TooFewPoints
-from .geometry import Point, cross, direction, normalize_angle
+from .geometry import TAU, Point, cross, direction, normalize_angle
 from .orientation import OrientationAssignment
 from .topology import RootedTree, bounded_degree_mst, carve, point_set
 from .verifier import check_construction
@@ -32,7 +53,8 @@ class Group180:
     """One orientation group: a parent node and the children grouped with it.
 
     ``attached_above`` is the parent's own parent in the residual tree at
-    removal time (None for the tree root).
+    removal time (None for the tree root): the group hangs from that node,
+    and ``parent`` is its top.
     """
 
     parent: int
@@ -95,7 +117,23 @@ def _orient_pair(a: Point, b: Point, side: float, theta: Dict[int, float]) -> No
     theta[b.id] = normalize_angle(d - side * 0.5 * math.pi)
 
 
-def _orient_group(group: Group180, pts: Sequence[Point], theta: Dict[int, float]) -> None:
+def _facing(a: Point, targets: Sequence[Point]) -> float:
+    """Bisector of a half-plane at a holding every target: the middle of the
+    arc their directions span, found opposite the largest gap between them.
+    A lone target, or a largest gap below pi (no half-plane holds them all),
+    leaves a aiming at the first target."""
+    ds = sorted(direction(a, q) for q in targets)
+    gap, start = max([(ds[0] + TAU - ds[-1], 0)] + [(ds[k] - ds[k - 1], k) for k in range(1, len(ds))])
+    if len(ds) == 1 or gap < math.pi:
+        return direction(a, targets[0])
+    return normalize_angle(ds[start] + 0.5 * (TAU - gap))
+
+
+def _orient_group(
+    group: Group180, pts: Sequence[Point], theta: Dict[int, float], hung: Dict[int, List[int]]
+) -> None:
+    """Wedge angles of one group; ``hung`` maps a node to the top nodes of
+    the groups hung from it."""
     p = pts[group.parent]
     kids = [pts[i] for i in group.members]
     if len(kids) >= 3:
@@ -107,21 +145,34 @@ def _orient_group(group: Group180, pts: Sequence[Point], theta: Dict[int, float]
         theta[p.id] = 1.5 * math.pi  # singleton root aims straight down
         return
     # p's boundary runs along p-c1, on the side holding c2 (left when c2 is
-    # on the line, or absent); c2 aims at p
+    # on the line, or absent)
     c1, c2 = kids[0], kids[-1]
     side = 1.0 if cross(p.x, p.y, c1.x, c1.y, c2.x, c2.y) >= 0.0 else -1.0
     _orient_pair(p, c1, side, theta)
     if len(kids) == 2:
-        theta[c2.id] = direction(c2, p)
+        # c2 faces p and every top hung from it that neither p's half-plane
+        # nor c1's reach covers
+        missed = [
+            x
+            for x in (pts[i] for i in hung.get(c2.id, ()))
+            if side * cross(p.x, p.y, c1.x, c1.y, x.x, x.y) < 0.0 and c1.dist(x) > RADIUS_180
+        ]
+        theta[c2.id] = _facing(c2, [p] + missed)
 
 
 def plan_groups_180(points: Sequence[Point], t: RootedTree) -> Tuple[List[Group180], Dict[int, float]]:
-    """The partition of ``partition_groups_180`` and every node's wedge angle."""
+    """The partition of ``partition_groups_180`` and every node's wedge angle
+    under the one group rule; a group's last child also faces the tops of
+    the groups hung from it that its group misses (module docstring)."""
     pts = point_set(points)
     theta: Dict[int, float] = {}
     groups = partition_groups_180(t)
+    hung: Dict[int, List[int]] = {}
     for g in groups:
-        _orient_group(g, pts, theta)
+        if g.attached_above is not None:
+            hung.setdefault(g.attached_above, []).append(g.parent)
+    for g in groups:
+        _orient_group(g, pts, theta, hung)
     return groups, theta
 
 

@@ -112,8 +112,8 @@ class TestFallback:
         real_orient_group = orient180._orient_group
         real_rule = orient90.four_point_thetas
 
-        def orient_group(group, points, theta):
-            result = real_orient_group(group, points, theta)
+        def orient_group(group, points, theta, *hung):
+            result = real_orient_group(group, points, theta, *hung)
             if away in theta:
                 theta[away] = PI
             return result

@@ -1,10 +1,12 @@
-"""Two inputs on which the 180-degree construction misses its bound.
+"""Two inputs on which a 180-degree construction that aims every last child
+at its parent misses its bound.
 
-In both, a carved group hangs from the child that ``_orient_triplet`` aims at
-its parent, and nothing in that child's group reaches the hanging group's top
-node within 1 + sqrt(3) (ROADMAP.md, open item 1). The self-check catches it,
-so ``orient_all_180`` raises instead of returning a wrong orientation. The
-90-degree construction orients both within 7.
+In both, a carved group hangs from the child of a group {p; c1, c2} that
+aims at p, and its top node lies beyond p's half-plane and more than
+1 + sqrt(3) from c1, so nothing in that group reached it (achieved radii
+2.7460 and 2.7369). ``orient_all_180`` now turns c2 to face p and that top,
+and both orient within the bound. The 90-degree construction orients both
+within 7.
 """
 
 from pathlib import Path
@@ -12,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from oracles import dense_bounded_degree_mst
-from sectornet.errors import ConstructionInvariantViolated
 from sectornet.fileio import read_points
 from sectornet.orient180 import RADIUS_180, orient_all_180
 from sectornet.orient90 import RADIUS_90, orient_all_90
@@ -39,11 +40,6 @@ def test_tree_matches_dense_reference(points):
     assert bounded_degree_mst(points) == dense_bounded_degree_mst(points)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ConstructionInvariantViolated,
-    reason="orient_all_180 misses 1 + sqrt(3) when a group hangs from a triplet child (ROADMAP.md, open item 1)",
-)
 def test_180_degree_construction_meets_its_bound(points):
     r = min_strong_radius(points, orient_all_180(points))
     assert r is not None and r <= RADIUS_180 + TOL

@@ -3,40 +3,33 @@ orient each group so the communication graph is strongly connected at
 radius 1 + sqrt(3).
 
 Groups are removed deepest first: each is the deepest height-one node p of
-the residual tree (ties: smallest id) together with its children, at most
-four. Every tree edge is at most 1 long. A *pair* (a, b) takes half-plane
-wedges whose common boundary is the line ab, covering opposite sides, so
-together they see the whole plane and each other. One rule orients every
-group:
+the residual tree (ties: smallest id) with its children, at most four; tree
+edges are at most 1 long. A *pair* (a, b) takes half-plane wedges bounded
+by line ab on opposite sides, so together they see the plane and each
+other. One rule orients every group. Of three or more children, the two at
+the smallest angle at p pair up (within sqrt(3) of each other) and leave.
+Of the rest, c1 < c2 by id, p pairs with c1, p's half-plane holding c2, and
+c2 faces p. The leftover root, alone, faces straight down.
 
-- three or more children: the two forming the smallest angle at p pair up
-  and leave the group (their distance is at most sqrt(3));
-- then, with the remaining children c1 < c2 by id: p pairs with c1, p's
-  half-plane holding c2 (left of p->c1 when c2 is on the line or absent),
-  and c2 faces p;
-- no children (the leftover root): p faces straight down.
-
-Proof sketch. Inside a group every node reaches p within 2 and p reaches
-every node within 2, so each group is strongly connected. A group hung from
-node a has its top x within 1 of a. Upward, x's pair covers the plane, and a
-lies within 2 of both. Downward, a's own group reaches x: if a is in a pair
-whose partner is within d of a, that pair holds x within 1 + d <= 1 + sqrt(3);
-the leftover root faces down onto x. If a = c2, p's half-plane holds x within
-2 when x is on c2's side of line p-c1, and c1 holds x when x is within
-1 + sqrt(3) of c1. Otherwise x is *missed*, and c2 turns to the half-plane
-that holds p and every missed top, centred on the arc their directions span.
-The step that was open is that such a half-plane always exists. Take n, the
-normal of line p-c1 pointing into c1's open side. Each missed x lies strictly
-on that side and c2 does not, so (x - c2).n > 0; p lies on the line, so
-(p - c2).n >= 0. The half-plane at c2 with bisector n therefore holds them
-all. Only rounding at the exact tie, with c2 on line p-c1, can leave the
-computed gap below pi. Then c2 keeps facing p, and the self-check decides.
+Proof sketch. Each group is strongly connected over hops of at most 2. A
+group hung from node a has its top x within 1 of a; upward, x's pair covers
+the plane within 2 of a. Downward, a pair holding a with partner d away holds
+x within 1 + d <= 1 + sqrt(3), and the root faces down onto x. For a = c2,
+p holds x on c2's side of line p-c1 and c1 holds x within 1 + sqrt(3);
+otherwise x is *missed*, and c2 turns to the half-plane holding p and every
+missed top (its tree children), centred on the arc their directions span.
+The open step was that this half-plane exists. With n the normal of line
+p-c1 into c1's side, a missed x has (x - c2).n > 0 and p has (p - c2).n >= 0,
+since c2 is not on c1's side and p is on the line: the half-plane with
+bisector n holds them all. Only rounding, with c2 on the line, can hide
+that gap; then c2 keeps facing p, and the self-check decides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TooFewPoints
@@ -97,15 +90,11 @@ def pair_smallest_angle(p: Point, children: Sequence[Point]) -> Tuple[Point, Poi
     if len(children) < 2:
         raise ValueError("need at least two children")
     best = None
-    for i in range(len(children)):
-        for j in range(i + 1, len(children)):
-            a, b = children[i], children[j]
-            ang = abs(
-                math.remainder(direction(p, a) - direction(p, b), 2.0 * math.pi)
-            )
-            key = (ang, min(a.id, b.id), max(a.id, b.id))
-            if best is None or key < best[0]:
-                best = (key, (a, b) if a.id < b.id else (b, a))
+    for a, b in combinations(children, 2):
+        ang = abs(math.remainder(direction(p, a) - direction(p, b), TAU))
+        key = (ang, min(a.id, b.id), max(a.id, b.id))
+        if best is None or key < best[0]:
+            best = (key, (a, b) if a.id < b.id else (b, a))
     return best[1]
 
 
@@ -118,10 +107,9 @@ def _orient_pair(a: Point, b: Point, side: float, theta: Dict[int, float]) -> No
 
 
 def _facing(a: Point, targets: Sequence[Point]) -> float:
-    """Bisector of a half-plane at a holding every target: the middle of the
-    arc their directions span, found opposite the largest gap between them.
-    A lone target, or a largest gap below pi (no half-plane holds them all),
-    leaves a aiming at the first target."""
+    """Bisector of the half-plane at a centred on the arc the targets'
+    directions span, opposite their largest gap; a lone target, or a gap
+    below pi, leaves a aiming at the first target."""
     ds = sorted(direction(a, q) for q in targets)
     gap, start = max([(ds[0] + TAU - ds[-1], 0)] + [(ds[k] - ds[k - 1], k) for k in range(1, len(ds))])
     if len(ds) == 1 or gap < math.pi:
@@ -130,10 +118,10 @@ def _facing(a: Point, targets: Sequence[Point]) -> float:
 
 
 def _orient_group(
-    group: Group180, pts: Sequence[Point], theta: Dict[int, float], hung: Dict[int, List[int]]
+    group: Group180, pts: Sequence[Point], theta: Dict[int, float], children: Dict[int, List[int]]
 ) -> None:
-    """Wedge angles of one group; ``hung`` maps a node to the top nodes of
-    the groups hung from it."""
+    """Wedge angles of one group; ``children`` are the tree's, so a member's
+    children are the tops of the groups hung from it."""
     p = pts[group.parent]
     kids = [pts[i] for i in group.members]
     if len(kids) >= 3:
@@ -144,17 +132,13 @@ def _orient_group(
     if not kids:
         theta[p.id] = 1.5 * math.pi  # singleton root aims straight down
         return
-    # p's boundary runs along p-c1, on the side holding c2 (left when c2 is
-    # on the line, or absent)
     c1, c2 = kids[0], kids[-1]
     side = 1.0 if cross(p.x, p.y, c1.x, c1.y, c2.x, c2.y) >= 0.0 else -1.0
     _orient_pair(p, c1, side, theta)
     if len(kids) == 2:
-        # c2 faces p and every top hung from it that neither p's half-plane
-        # nor c1's reach covers
         missed = [
             x
-            for x in (pts[i] for i in hung.get(c2.id, ()))
+            for x in (pts[i] for i in children[c2.id])
             if side * cross(p.x, p.y, c1.x, c1.y, x.x, x.y) < 0.0 and c1.dist(x) > RADIUS_180
         ]
         theta[c2.id] = _facing(c2, [p] + missed)
@@ -162,17 +146,12 @@ def _orient_group(
 
 def plan_groups_180(points: Sequence[Point], t: RootedTree) -> Tuple[List[Group180], Dict[int, float]]:
     """The partition of ``partition_groups_180`` and every node's wedge angle
-    under the one group rule; a group's last child also faces the tops of
-    the groups hung from it that its group misses (module docstring)."""
+    under the one group rule (module docstring)."""
     pts = point_set(points)
     theta: Dict[int, float] = {}
     groups = partition_groups_180(t)
-    hung: Dict[int, List[int]] = {}
     for g in groups:
-        if g.attached_above is not None:
-            hung.setdefault(g.attached_above, []).append(g.parent)
-    for g in groups:
-        _orient_group(g, pts, theta, hung)
+        _orient_group(g, pts, theta, t.children)
     return groups, theta
 
 

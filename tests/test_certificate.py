@@ -112,11 +112,10 @@ class TestFallback:
         real_orient_group = orient180._orient_group
         real_rule = orient90.four_point_thetas
 
-        def orient_group(group, points, theta, *hung):
-            result = real_orient_group(group, points, theta, *hung)
+        def orient_group(group, points, theta, *children):
+            real_orient_group(group, points, theta, *children)
             if away in theta:
                 theta[away] = PI
-            return result
 
         def four_point_thetas(qc):
             return {**real_rule(qc), away: PI}

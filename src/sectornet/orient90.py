@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import ConstructionInvariantViolated, TooFewPoints, TooManyPoints
+from .errors import ConstructionInvariantViolated, DisconnectedInput, TooFewPoints, TooManyPoints
 from .fourpoint import _dmax, four_point_thetas, search_cover_orientation
 from .geometry import Point, QuadClass, QuadKind, TAU, classify_quad, collinear, direction, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import RootedTree, bounded_degree_mst, carve, point_set
+from .topology import RootedTree, _distinct_points, bounded_degree_mst, carve, point_set
 from .verifier import check_construction
 
 RADIUS_90 = 7.0
@@ -57,15 +57,17 @@ def orient_small(points: Sequence[Point]) -> OrientationAssignment:
     companion. Strongly connected at radius 2 (max pairwise distance <= 2
     when the unit disk graph is connected).
 
-    ValueError comes from ``point_set``; DuplicatePoint and DisconnectedInput
-    from bounded_degree_mst, which decides the unit disk graph precondition."""
+    ValueError comes from ``point_set``, DuplicatePoint from the unit pairs;
+    two or three points are connected when at least n - 1 pairs are within
+    unit distance."""
     pts = point_set(points)
     n = len(pts)
     if n > 3:
         raise TooManyPoints("orient_small handles at most 3 points")
     if n < 2:
         raise TooFewPoints("need at least 2 points")
-    bounded_degree_mst(pts)
+    if len(_distinct_points(pts)[1][0]) < n - 1:
+        raise DisconnectedInput("unit disk graph is not connected")
     theta: Dict[int, float] = {}
     if n == 2:
         a, b = pts
@@ -207,7 +209,7 @@ def orient_all_90(points: Sequence[Point]) -> OrientationAssignment:
     the root remainder (``check_construction``).
 
     ValueError comes from ``point_set``; DuplicatePoint and DisconnectedInput
-    from bounded_degree_mst (via orient_small below four points)."""
+    from bounded_degree_mst, or from orient_small below four points."""
     pts = point_set(points)
     if len(pts) <= 3:
         return orient_small(pts)

@@ -399,8 +399,6 @@ def min_strong_radius(
 
 def _interval_cover_circle(intervals: List[Tuple[float, float]]) -> bool:
     """Do closed arcs [start, start+width] jointly cover the full circle?"""
-    if not intervals:
-        return False
     arcs = []
     for s, w in intervals:
         if w >= TAU - EPS:
@@ -427,8 +425,6 @@ def _wedge_lines(wedges: Sequence[Wedge]) -> List[Tuple[float, float, float, flo
         for sign in (-1.0, 1.0):
             b = normalize_angle(w.theta + sign * 0.5 * w.alpha)
             axis = math.fmod(b, math.pi)
-            if axis < 0.0:
-                axis += math.pi
             if any(abs(axis - d) < 1e-12 or abs(abs(axis - d) - math.pi) < 1e-12 for d in seen_dirs):
                 continue
             seen_dirs.append(axis)

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from sectornet import cli
 from sectornet.cli import main
+from sectornet.errors import ConstructionInvariantViolated
 from sectornet.fileio import read_orientation, read_points, write_points
 from sectornet.geometry import Point
 from sectornet.orient180 import RADIUS_180
@@ -33,6 +35,19 @@ class TestOrientCommand:
         code, _, err = run(capsys, "orient", "--input", str(src), "--alpha", "180", "--out", str(tmp_path / "o.txt"))
         assert code == 3
         assert "connected" in err
+
+    def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        def construction(points):
+            raise ConstructionInvariantViolated("construction failed its self-check")
+
+        monkeypatch.setattr(cli, "orient_all_180", construction)
+        src = tmp_path / "pts.txt"
+        out = tmp_path / "o.txt"
+        write_points(src, [Point(0, 0, 0), Point(1, 1, 0)])
+        code, stdout, err = run(capsys, "orient", "--input", str(src), "--alpha", "180", "--out", str(out))
+        assert (code, stdout) == (4, "")
+        assert err == "error: construction failed its self-check\n"
+        assert not out.exists()
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         src = tmp_path / "pts.txt"

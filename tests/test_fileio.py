@@ -49,6 +49,24 @@ class TestPointFile:
         with pytest.raises(ParseError):
             read_points(path)
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("0 0.0 0.0\n-1 1.0 0.0\n", 2, "point id must be non-negative"),
+            ("0 0.0 0.0\n1 nan 0.0\n", 2, "coordinates must be finite"),
+            ("0 0.0 -inf\n", 1, "coordinates must be finite"),
+            ("", 0, "no points in file"),
+            ("# comments only\n\n", 0, "no points in file"),
+        ],
+        ids=["negative-id", "nan-x", "inf-y", "empty", "comments-only"],
+    )
+    def test_rejected_file_reports_line(self, tmp_path, text, line, message):
+        path = tmp_path / "pts.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_points(path)
+        assert (err.value.line, err.value.message) == (line, message)
+
 
 class TestOrientationFile:
     def test_round_trip(self, tmp_path):
@@ -104,6 +122,26 @@ class TestOrientationFile:
         path.write_text(f"alpha {2 * math.pi!r}\nradius 0.0\n0 1.0\n")
         back = read_orientation(path)
         assert back.alpha == 2 * math.pi and back.guaranteed_radius == 0.0
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("alpha 3.14\nalpha 3.14\nradius 1.0\n0 1.0\n", 2, "malformed alpha header"),
+            ("alpha 3.14\nradius 1.0\nradius 2.0\n0 1.0\n", 3, "malformed radius header"),
+            ("alpha 3.14 2\nradius 1.0\n0 1.0\n", 1, "malformed alpha header"),
+            ("alpha 3.14\nradius 1.0\n0 1.0 2.0\n", 3, "expected '<id> <theta>', got '0 1.0 2.0'"),
+            ("alpha 3.14\nradius 1.0\nzero 1.0\n", 3, "invalid literal for int() with base 10: 'zero'"),
+            ("alpha 3.14\nradius 1.0\n", 0, "missing alpha/radius header or orientations"),
+            ("", 0, "missing alpha/radius header or orientations"),
+        ],
+        ids=["alpha-twice", "radius-twice", "alpha-two-values", "theta-line-arity", "id-not-int", "no-orientations", "empty"],
+    )
+    def test_malformed_file_reports_line(self, tmp_path, text, line, message):
+        path = tmp_path / "orient.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_orientation(path)
+        assert (err.value.line, err.value.message) == (line, message)
 
     def test_malformed_header_value_reports_line(self, tmp_path):
         path = tmp_path / "orient.txt"

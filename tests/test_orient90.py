@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sectornet import orient90
-from sectornet.errors import DisconnectedInput, DuplicatePoint, TooManyPoints
+from sectornet.errors import DisconnectedInput, DuplicatePoint, TooFewPoints, TooManyPoints
 from sectornet.geometry import Point
 from sectornet.instances import collinear_witness, random_connected_udg
 from sectornet.orient90 import (
@@ -220,6 +220,10 @@ class TestOrientAll90:
         a = orient_all_90(pts)
         r = min_strong_radius(pts, a)
         assert r is not None and r <= RADIUS_90 + 1e-9
+
+    def test_too_few(self):
+        with pytest.raises(TooFewPoints):
+            orient_all_90([P(0, 0, 0)])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_coincident_points(self, n):

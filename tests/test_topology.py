@@ -13,7 +13,7 @@ from oracles import (
     pruefer_min_spanning_length,
     tree_edges_cross,
 )
-from sectornet.errors import DisconnectedInput, DuplicatePoint
+from sectornet.errors import DisconnectedInput, DuplicatePoint, TooFewPoints
 from sectornet.geometry import Point
 from sectornet.instances import random_connected_udg
 from sectornet.topology import (
@@ -94,6 +94,10 @@ class TestBoundedDegreeMst:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedInput):
             bounded_degree_mst([P(0, 0, 0), P(1, 5, 0)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(TooFewPoints):
+            bounded_degree_mst([])
 
     def test_random_contract(self):
         for seed in range(40):

@@ -595,6 +595,11 @@ def test_min_strong_radius_is_unchanged_by_translation_and_relabelling(
 
 
 class TestCoversPlane:
+    @pytest.mark.parametrize("count", [0, 17])
+    def test_wedge_count_out_of_range(self, count):
+        with pytest.raises(ValueError, match="between 1 and 16 wedges"):
+            covers_plane([Wedge(P(k, k, 0), PI / 2, PI, 1.0) for k in range(count)])
+
     def test_four_quadrants(self):
         qs = [Wedge(P(0, 0, 0), PI / 4 + k * PI / 2, PI / 2, 1.0) for k in range(4)]
         assert covers_plane(qs)

@@ -57,9 +57,8 @@ def orient_small(points: Sequence[Point]) -> OrientationAssignment:
     companion. Strongly connected at radius 2 (max pairwise distance <= 2
     when the unit disk graph is connected).
 
-    ValueError comes from ``point_set``, DuplicatePoint from the unit pairs;
-    two or three points are connected when at least n - 1 pairs are within
-    unit distance."""
+    ValueError comes from ``point_set``; DuplicatePoint and DisconnectedInput
+    from the unit pairs, n - 1 of which connect two or three points."""
     pts = point_set(points)
     n = len(pts)
     if n > 3:

@@ -1,8 +1,12 @@
 """The two lower-bound witnesses, checked mechanically.
 
 Collinear points at unit spacing force radius 2 for 90-degree antennas: the
-brute-force oracle enumerates every achievable coverage pattern and finds no
-strongly connected orientation just below 2, then produces a witness at 2.
+brute-force oracle tries every combination of the points' maximal coverage
+patterns (a pattern inside another never helps) and finds no strongly
+connected orientation just below 2, then produces a witness at 2. It handles
+up to BRUTE_FORCE_MAX (11) points; a pattern whose points span more than the
+aperture by at most 2 EPS, which only the EPS-widened membership admits, may
+be missed.
 
 The unit tripod with 120-degree joints forces radius sqrt(3) for 180-degree
 antennas: below sqrt(3) every wedge position at the center covers at most two

@@ -79,8 +79,9 @@ def check_witness_180(w: Witness180, r: float) -> bool:
     """Mechanized sub-claims of the sqrt(3) lower bound, for any r < sqrt(3):
 
     (a) every 180-degree wedge position at p covers at most two of p's three
-        unit neighbors and no other point of the set, over the complete
-        candidate-bisector grid;
+        unit neighbors and no other point of the set: checked on the
+        boundary-aligned ``candidate_bisectors``, whose patterns contain every
+        pattern of an exact closed wedge (see there for the EPS caveat);
     (b) every point of the right part other than p is at least sqrt(3) away
         from every point of the left part.
     """

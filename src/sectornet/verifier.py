@@ -18,6 +18,9 @@ found on the grid of ``topology.grid_pairs``, and builds no n x n array; the
 first probe whose sweeps reach every node gives the exact result. Dense
 inputs, small ones and those no probe decides take the n x n matrix.
 
+The brute force decides feasibility for up to BRUTE_FORCE_MAX points from
+each point's maximal coverage patterns, each with a wedge boundary on a point.
+
 Every entry that takes a point set validates it with ``topology.point_set``;
 the brute force and ``_coverage_masks`` work by position, on any distinct ids.
 """
@@ -37,11 +40,6 @@ from .errors import ConstructionInvariantViolated, MissingOrientation, TooManyPo
 from .geometry import EPS, TAU, Point, Wedge, normalize_angle
 from .orientation import OrientationAssignment
 from .topology import Pairs, as_coords, grid_pairs, point_set
-
-# Candidate-angle nudge for brute-force grids: above membership EPS, below
-# geometric feature scale, so it selects each open side of a breakpoint
-# without tripping the closed-boundary tolerance.
-NUDGE = 1e-7
 
 # Below this many points one n x n matrix costs no more than a grid probe.
 SPARSE_MIN_N = 32
@@ -502,31 +500,22 @@ def covers_plane(wedges: Sequence[Wedge]) -> bool:
 # Brute-force feasibility
 # ---------------------------------------------------------------------------
 
-BRUTE_FORCE_MAX = 5
+BRUTE_FORCE_MAX = 11
 
 
-def candidate_bisectors(
-    points: Sequence[Point], i: int, alpha: float
-) -> List[float]:
-    """Complete bisector grid for point i: toward each other point, plus both
-    boundary alignments and their nudged open-side variants.
+def candidate_bisectors(points: Sequence[Point], i: int, alpha: float) -> List[float]:
+    """Bisectors that put a boundary of point i's wedge on another point q:
+    direction(i, q) +- alpha/2 for every q, sorted.
 
-    Between consecutive breakpoints the covered subset is constant, so this
-    grid realizes every achievable coverage pattern.
+    Turning a closed wedge until a boundary meets a covered point loses no
+    covered point, so every coverage pattern of an exact closed wedge lies
+    inside the pattern of one of these. Membership widens the wedge by EPS on
+    each side; a pattern whose points span more than alpha, by at most 2 EPS,
+    may lie inside none of them.
     """
     p = points[i]
-    cand = set()
-    for q in points:
-        if q.id == p.id:
-            continue
-        d = math.atan2(q.y - p.y, q.x - p.x)
-        cand.add(normalize_angle(d))
-        for sign in (-1.0, 1.0):
-            edge = d + sign * 0.5 * alpha
-            cand.add(normalize_angle(edge))
-            cand.add(normalize_angle(edge + NUDGE))
-            cand.add(normalize_angle(edge - NUDGE))
-    return sorted(cand)
+    ds = [math.atan2(q.y - p.y, q.x - p.x) for q in points if q.id != p.id]
+    return sorted({normalize_angle(d + s * 0.5 * alpha) for d in ds for s in (-1.0, 1.0)})
 
 
 def _coverage_masks(
@@ -550,9 +539,11 @@ def feasible_by_bruteforce(
 ) -> Tuple[bool, Optional[OrientationAssignment]]:
     """Exhaustively decide whether some orientation is strongly connected at r.
 
-    Enumerates the complete per-point bisector grid, deduplicated by coverage
-    pattern (connectivity depends only on which points each wedge covers).
-    Returns a witness assignment on success. Limited to n <= 5.
+    Connectivity depends only on which points each wedge covers, and more
+    edges never disconnect, so each point tries only its maximal coverage
+    masks over ``candidate_bisectors`` (see there for the EPS caveat). A
+    point that covers nothing decides False at once. Returns a witness
+    assignment on success. Limited to n <= BRUTE_FORCE_MAX.
     """
     pts = sorted(points, key=lambda p: p.id)
     n = len(pts)
@@ -564,19 +555,18 @@ def feasible_by_bruteforce(
 
     options: List[List[Tuple[int, float]]] = []
     for i in range(n):
-        by_mask: Dict[int, float] = {}
+        by_mask: Dict[int, float] = {}  # each mask with its smallest bisector
         thetas = candidate_bisectors(pts, i, alpha)
         for th, m in zip(thetas, _coverage_masks(pts, i, thetas, alpha, r)):
             by_mask.setdefault(m, th)
-        options.append(sorted(by_mask.items(), key=lambda kv: kv[1]))
-
+        options.append(
+            [(m, th) for m, th in by_mask.items() if not any(m != o and m & o == m for o in by_mask)]
+        )
+    # 0 is maximal only as a point's one mask
+    if any(opts[0][0] == 0 for opts in options):
+        return False, None
     for combo in product(*options):
-        masks = [m for m, _ in combo]
-        if any(m == 0 for m in masks):
-            continue
-        if _masks_strongly_connected(masks, n):
+        if _masks_strongly_connected([m for m, _ in combo], n):
             theta = {pts[i].id: combo[i][1] for i in range(n)}
-            return True, OrientationAssignment(
-                alpha=alpha, theta=theta, guaranteed_radius=r
-            )
+            return True, OrientationAssignment(alpha=alpha, theta=theta, guaranteed_radius=r)
     return False, None

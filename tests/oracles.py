@@ -3,13 +3,15 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes. Six are reference implementations kept for differential
+coverage probes. Seven are reference implementations kept for differential
 tests: the binary search for the minimum strong radius, the quadratic
 random-UDG generator, the two quadratic tree groupings that walk the whole
 residual tree again after every removal, the per-point coverage-mask loop
-over ``math.hypot`` and ``angle_diff``, and the dense degree-5 spanning tree
+over ``math.hypot`` and ``angle_diff``, the dense degree-5 spanning tree
 (an n x n distance matrix, tie-broken Prim and a degree repair that scans
-every node pair).
+every node pair), and the brute force over every distinct coverage mask of
+a nudged bisector grid. The same binary search over ``feasible_by_bruteforce``
+gives the exact optimum radius over all orientations.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import math
 import random
 from collections import deque
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from sectornet.errors import DisconnectedInput, DuplicatePoint, TooFewPoints
-from sectornet.geometry import EPS, Point, angle_diff, ccw_angle_between, direction
+from sectornet.geometry import EPS, Point, angle_diff, ccw_angle_between, direction, normalize_angle
 from sectornet.orient180 import Group180
 from sectornet.orient90 import Group90, choose_representatives
 from sectornet.orientation import OrientationAssignment
@@ -35,7 +37,12 @@ from sectornet.topology import (
     is_connected,
     point_set,
 )
-from sectornet.verifier import is_strongly_connected_at
+from sectornet.verifier import (
+    _coverage_masks,
+    _masks_strongly_connected,
+    feasible_by_bruteforce,
+    is_strongly_connected_at,
+)
 
 
 def prim_mst_length(coords: np.ndarray) -> float:
@@ -198,12 +205,10 @@ def sampled_uncovered_point(
     return uncovered_in(cx + far_r * np.cos(a), cy + far_r * np.sin(a))
 
 
-def binary_search_min_strong_radius(
-    points: Sequence[Point], assignment: OrientationAssignment
-) -> Optional[float]:
-    """Smallest pairwise distance r with ``is_strongly_connected_at(r)``, by
-    binary search over the sorted distinct distances (the predicate is
-    monotone in r); None when even the largest distance fails."""
+def _smallest_distance(points: Sequence[Point], ok: Callable[[float], bool]) -> Optional[float]:
+    """Smallest pairwise distance r with ok(r), by binary search over the
+    sorted distinct distances (ok must be monotone in r); None when even the
+    largest distance fails."""
     pts = sorted(points, key=lambda p: p.id)
     n = len(pts)
     if n <= 1:
@@ -213,10 +218,6 @@ def binary_search_min_strong_radius(
     dist = np.hypot(diff[..., 0], diff[..., 1])
     iu, ju = np.triu_indices(n, k=1)
     cands = np.unique(dist[iu, ju])
-
-    def ok(r: float) -> bool:
-        return is_strongly_connected_at(pts, assignment, r)
-
     if not ok(float(cands[-1])):
         return None
     lo, hi = 0, len(cands) - 1
@@ -227,6 +228,76 @@ def binary_search_min_strong_radius(
         else:
             lo = mid + 1
     return float(cands[lo])
+
+
+def binary_search_min_strong_radius(
+    points: Sequence[Point], assignment: OrientationAssignment
+) -> Optional[float]:
+    """Smallest pairwise distance r with ``is_strongly_connected_at(r)``."""
+    return _smallest_distance(points, lambda r: is_strongly_connected_at(points, assignment, r))
+
+
+def exact_min_radius(points: Sequence[Point], alpha: float) -> Optional[float]:
+    """Smallest pairwise distance at which some orientation of aperture alpha
+    is strongly connected: the optimum over all orientations, decided by
+    ``feasible_by_bruteforce`` and so limited to its BRUTE_FORCE_MAX points."""
+    return _smallest_distance(points, lambda r: feasible_by_bruteforce(points, alpha, r)[0])
+
+
+# Turn of the nudged grid: above membership EPS, below geometric feature
+# scale, so it selects each open side of a breakpoint without tripping the
+# closed-boundary tolerance.
+NUDGE = 1e-7
+
+
+def nudged_candidate_bisectors(points: Sequence[Point], i: int, alpha: float) -> List[float]:
+    """A denser grid than ``candidate_bisectors``: toward each other point,
+    plus both boundary alignments and their nudged open-side variants."""
+    p = points[i]
+    cand = set()
+    for q in points:
+        if q.id == p.id:
+            continue
+        d = math.atan2(q.y - p.y, q.x - p.x)
+        cand.add(normalize_angle(d))
+        for sign in (-1.0, 1.0):
+            edge = d + sign * 0.5 * alpha
+            cand.add(normalize_angle(edge))
+            cand.add(normalize_angle(edge + NUDGE))
+            cand.add(normalize_angle(edge - NUDGE))
+    return sorted(cand)
+
+
+def all_masks_feasible(
+    points: Sequence[Point], alpha: float, r: float
+) -> Tuple[bool, Optional[OrientationAssignment]]:
+    """Reference for ``feasible_by_bruteforce``: the product of every distinct
+    coverage mask of the nudged grid per point, zero masks skipped one
+    combination at a time. Exponential in n; meant for n <= 5."""
+    pts = sorted(points, key=lambda p: p.id)
+    n = len(pts)
+    if n <= 1:
+        theta = {p.id: 0.0 for p in pts}
+        return True, OrientationAssignment(alpha=alpha, theta=theta, guaranteed_radius=r)
+
+    options: List[List[Tuple[int, float]]] = []
+    for i in range(n):
+        by_mask: Dict[int, float] = {}
+        thetas = nudged_candidate_bisectors(pts, i, alpha)
+        for th, m in zip(thetas, _coverage_masks(pts, i, thetas, alpha, r)):
+            by_mask.setdefault(m, th)
+        options.append(sorted(by_mask.items(), key=lambda kv: kv[1]))
+
+    for combo in product(*options):
+        masks = [m for m, _ in combo]
+        if any(m == 0 for m in masks):
+            continue
+        if _masks_strongly_connected(masks, n):
+            theta = {pts[i].id: combo[i][1] for i in range(n)}
+            return True, OrientationAssignment(
+                alpha=alpha, theta=theta, guaranteed_radius=r
+            )
+    return False, None
 
 
 def quadratic_random_connected_udg(n: int, seed: int, box: float) -> List[Point]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import quadratic_random_connected_udg
+from oracles import exact_min_radius, quadratic_random_connected_udg
 from sectornet.geometry import EPS, angle_diff, direction
 from sectornet.instances import (
     SQRT3,
@@ -35,11 +35,19 @@ class TestCollinearWitness:
         assert not feasible_by_bruteforce(pts, math.pi / 2, 2.0 - 1e-6)[0]
         assert feasible_by_bruteforce(pts, math.pi / 2, 2.0)[0]
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_exact_optimum_is_two(self, n):
+        assert exact_min_radius(collinear_witness(n), math.pi / 2) == 2.0
+
 
 class TestWitness180:
     def test_sizes(self):
         assert len(witness_180(2).points) == 10
         assert len(witness_180(3).points) == 13
+
+    def test_exact_optimum_is_sqrt3(self):
+        r = exact_min_radius(witness_180(2).points, math.pi)
+        assert r == 1.7320508075688767 and abs(r - SQRT3) <= 1e-12
 
     def test_checker_passes_near_bound(self):
         for arms in (2, 3):

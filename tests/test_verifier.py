@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_masks_feasible,
     bfs_strongly_connected,
     binary_search_min_strong_radius,
+    exact_min_radius,
     sampled_uncovered_point,
 )
 from sectornet import verifier
 from sectornet.errors import MissingOrientation, TooManyPoints
+from sectornet.fileio import read_points
 from sectornet.geometry import Point, Wedge
 from sectornet.instances import collinear_witness, random_connected_udg
 from sectornet.orient180 import orient_all_180, plan_groups_180
@@ -21,6 +25,7 @@ from sectornet.orient90 import orient_all_90, orient_small
 from sectornet.orientation import OrientationAssignment
 from sectornet.topology import bounded_degree_mst, build_udg
 from sectornet.verifier import (
+    BRUTE_FORCE_MAX,
     CommGraph,
     _masks_strongly_connected,
     _row_masks,
@@ -35,6 +40,7 @@ from sectornet.verifier import (
     tarjan_scc_count,
 )
 from test_topology import OFFSETS, jittered_lattice
+from test_wedge_rule import APERTURES, point_sets
 
 PI = math.pi
 
@@ -640,7 +646,34 @@ class TestCoversPlane:
                 assert sampled_uncovered_point(wedges, rng, samples=100_000) is None
 
 
+def agreement_sets(rng, count):
+    """Sets of 2 to 5 points with shuffled ids: the random and square-lattice
+    sets of ``point_sets``, then cells of a hexagonal lattice and of an
+    integer row."""
+    yield from point_sets(rng, count // 2)
+    hexagon = [(x + 0.5 * y, 0.5 * math.sqrt(3) * y) for x in range(3) for y in range(3)]
+    row = [(float(x), 0.0) for x in range(6)]
+    for k in range(count - count // 2):
+        n = rng.randint(2, 5)
+        coords = rng.sample(hexagon if k % 2 else row, n)
+        ids = rng.sample(range(n), n)
+        yield sorted((Point(i, x, y) for i, (x, y) in zip(ids, coords)), key=lambda p: p.id)
+
+
 class TestBruteForce:
+    def test_agrees_with_all_masks_oracle(self):
+        # at every pairwise distance d, at d - 1e-9 and at d + 1e-12
+        calls = 0
+        for pts in agreement_sets(random.Random(9), 400):
+            dists = sorted({p.dist(q) for p in pts for q in pts if p.id < q.id})
+            for alpha in APERTURES:
+                for d in dists:
+                    for r in (d - 1e-9, d, d + 1e-12):
+                        got = feasible_by_bruteforce(pts, alpha, r)[0]
+                        assert got == all_masks_feasible(pts, alpha, r)[0], (pts, alpha, r)
+                        calls += 1
+        assert calls > 10_000
+
     def test_collinear_four_below_two(self):
         feasible, witness = feasible_by_bruteforce(collinear_witness(4), PI / 2, 1.999999)
         assert not feasible and witness is None
@@ -657,7 +690,7 @@ class TestBruteForce:
 
     def test_too_many_points(self):
         with pytest.raises(TooManyPoints):
-            feasible_by_bruteforce([P(i, i, 0) for i in range(6)], PI / 2, 2.0)
+            feasible_by_bruteforce([P(i, i, 0) for i in range(BRUTE_FORCE_MAX + 1)], PI / 2, 2.0)
 
     def test_monotone_in_radius(self):
         rng = random.Random(8)
@@ -669,3 +702,24 @@ class TestBruteForce:
             f2, _ = feasible_by_bruteforce(pts, PI / 2, r2)
             if f1:
                 assert f2
+
+
+def random_row(n, seed):
+    """n points on the x axis, consecutive gaps uniform in [0.5, 1]."""
+    rng = random.Random(seed)
+    xs = [0.0]
+    while len(xs) < n:
+        xs.append(xs[-1] + rng.uniform(0.5, 1.0))
+    return [P(i, x, 0) for i, x in enumerate(xs)]
+
+
+def test_constructions_between_optimum_and_guarantee():
+    instances = [read_points(Path(__file__).parent / "data" / "hung_triplet_n10.txt")]
+    for n in range(6, 11):
+        for seed in range(6):
+            instances += [random_connected_udg(n, seed, math.sqrt(n)), random_row(n, seed)]
+    for pts in instances:
+        for orient in (orient_all_180, orient_all_90):
+            a = orient(pts)
+            achieved = min_strong_radius(pts, a)
+            assert exact_min_radius(pts, a.alpha) <= achieved <= a.guaranteed_radius, (pts, orient)

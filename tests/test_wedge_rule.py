@@ -14,7 +14,6 @@ from sectornet.fourpoint import QUARTER, _search_grid
 from sectornet.geometry import EPS, Point, Wedge, point_in_wedge
 from sectornet.orientation import OrientationAssignment
 from sectornet.verifier import (
-    NUDGE,
     _coverage_masks,
     _row_masks,
     _wedge_rule,
@@ -54,9 +53,9 @@ class TestCoverageMasksMatchLoop:
 
     def test_nudged_boundary_variants_split(self):
         # A point on the boundary ray is covered by the aligned bisector and
-        # by the nudge into the wedge, and not by the nudge out of it.
+        # by a 1e-7 turn into the wedge, and not by a 1e-7 turn out of it.
         pts = [Point(0, 0.0, 0.0), Point(1, 1.0, 0.0)]
-        thetas = [PI / 4, PI / 4 - NUDGE, PI / 4 + NUDGE]
+        thetas = [PI / 4, PI / 4 - 1e-7, PI / 4 + 1e-7]
         expected = [loop_coverage_mask(pts, 0, t, PI / 2, 1.0) for t in thetas]
         assert expected == [0b10, 0b10, 0]
         assert _coverage_masks(pts, 0, thetas, PI / 2, 1.0) == expected

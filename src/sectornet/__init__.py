@@ -33,7 +33,6 @@ from .geometry import (
     classify_quad,
     direction,
     point_in_wedge,
-    project_onto_segment,
 )
 from .instances import (
     Witness180,
@@ -119,7 +118,6 @@ __all__ = [
     "pair_smallest_angle",
     "partition_groups_180",
     "point_in_wedge",
-    "project_onto_segment",
     "random_connected_udg",
     "search_orient_four",
     "strongly_connected",

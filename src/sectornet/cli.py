@@ -26,7 +26,7 @@ from .orient180 import RADIUS_180, orient_all_180
 from .orient90 import RADIUS_90, orient_all_90
 from .svgplot import render_scene
 from .topology import bounded_degree_mst
-from .verifier import build_comm_graph, min_strong_radius, strongly_connected, tarjan_scc_count
+from .verifier import build_comm_graph, min_strong_radius, strong_components
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -118,11 +118,11 @@ def read_orientation_for(points, path):
 def cmd_verify(args) -> int:
     points = read_points(args.input)
     assignment = read_orientation_for(points, args.orientation)
-    graph = build_comm_graph(points, assignment, r_override=args.radius)
-    if strongly_connected(graph):
+    sccs = len(strong_components(build_comm_graph(points, assignment, r_override=args.radius)))
+    if sccs <= 1:
         print("STRONG sccs=1")
         return EXIT_OK
-    print(f"NOT-STRONG sccs={tarjan_scc_count(graph.n, graph.out_edges)}")
+    print(f"NOT-STRONG sccs={sccs}")
     return EXIT_NEGATIVE
 
 

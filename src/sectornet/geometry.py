@@ -131,21 +131,6 @@ def collinear(a: Point, b: Point, c: Point) -> bool:
     return area2 < COLLINEAR_REL * diag_sq
 
 
-def project_onto_segment(q: Point, a: Point, b: Point) -> Tuple[float, bool]:
-    """Parameter of the orthogonal projection of q onto line ab.
-
-    t = 0 at a, t = 1 at b; the second value reports 0 <= t <= 1.
-    Raises CoincidentPoints when a == b.
-    """
-    abx = b.x - a.x
-    aby = b.y - a.y
-    denom = abx * abx + aby * aby
-    if denom == 0.0:
-        raise CoincidentPoints(f"segment endpoints {a.id} and {b.id} coincide")
-    t = ((q.x - a.x) * abx + (q.y - a.y) * aby) / denom
-    return t, 0.0 <= t <= 1.0
-
-
 def _point_in_triangle(q: Point, a: Point, b: Point, c: Point) -> bool:
     """Strict interior test via consistent cross-product signs."""
     s1 = cross(a.x, a.y, b.x, b.y, q.x, q.y)

@@ -33,8 +33,9 @@ class Group90:
     """An extracted subtree: its root, members, representatives, and the node
     it hangs from in the residual tree (None when it contains the tree root).
 
-    ``representatives`` is empty only for degenerate members that fall back
-    to the collinear line construction.
+    ``representatives`` always holds four ids, the subtree root first
+    (``choose_representatives``); the collinear line rule ignores them and
+    orients every member.
     """
 
     subtree_root: int

@@ -4,22 +4,27 @@ feasibility.
 
 One closed-wedge rule, ``_wedge_rule``, decides every coverage question. The
 communication graph has an edge a -> b exactly when b lies in a's wedge;
-``CommGraph`` holds it as a boolean adjacency matrix. Every strong-connectivity
-decision is one bitmask reach: each node's out-neighbours form one Python int,
-and a graph is strongly connected when node 0 reaches every node forwards and
-backwards. The constructions check themselves with ``certify_groups``, which
-tests only pairs of nodes in groups near each other in their group tree: the
-edges it keeps are edges of the communication graph, so a strongly connected
+``CommGraph`` holds it as a boolean adjacency matrix. Every traversal is one
+bitmask reach, ``_reach``: each node's out-neighbours form one Python int, and
+a graph is strongly connected when node 0 reaches every node forwards and
+backwards. The component report of ``strong_components`` runs on it too
+(Kosaraju: one reach per component over the reversed edges). The
+constructions check themselves with ``certify_groups``, which tests only
+pairs of nodes in groups near each other in their group tree: the edges it
+keeps are edges of the communication graph, so a strongly connected
 certificate proves the whole graph strongly connected without building it.
 The minimum strong radius comes from two bottleneck (minimax) reachability
 sweeps over the wedge-restricted distances. On inputs whose pairs spread out,
 a probe at R = 1, 2, 4, ... runs both sweeps on the pairs within R alone,
 found on the grid of ``topology.grid_pairs``, and builds no n x n array; the
 first probe whose sweeps reach every node gives the exact result. Dense
-inputs, small ones and those no probe decides take the n x n matrix.
+inputs, small ones and those no probe decides take the n x n matrix. The
+certificate and the probes get their edges from one builder, ``_wedge_edges``,
+which tests both directions of a pair list.
 
 The brute force decides feasibility for up to BRUTE_FORCE_MAX points from
-each point's maximal coverage patterns, each with a wedge boundary on a point.
+each point's maximal coverage patterns, each with its clockwise wedge boundary
+on a point.
 
 Every entry that takes a point set validates it with ``topology.point_set``;
 the brute force and ``_coverage_masks`` work by position, on any distinct ids.
@@ -113,59 +118,15 @@ def build_comm_graph(
     return CommGraph(adj)
 
 
-def tarjan_scc_count(n: int, out_edges: Dict[int, FrozenSet[int]]) -> int:
-    """Number of strongly connected components (iterative Tarjan), for reports."""
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    succ = {v: sorted(out_edges.get(v, ())) for v in range(n)}
-    counter = 0
-    sccs = 0
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                sccs += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-            if work:
-                u = work[-1][0]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-    return sccs
-
-
 def _row_masks(adj: np.ndarray) -> List[int]:
     """Row i of a boolean matrix as an int with bit j set iff adj[i, j]."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _reach(masks: Sequence[int], start: int) -> int:
-    """Bitmask of the nodes reachable from ``start``; masks[v] is v's out-neighbours."""
+def _reach(masks: Sequence[int], start: int, within: int = -1) -> int:
+    """Bitmask of the nodes reachable from ``start`` through the nodes of
+    ``within``; masks[v] is v's out-neighbours."""
     reach = frontier = 1 << start
     while frontier:
         nxt = 0
@@ -173,7 +134,7 @@ def _reach(masks: Sequence[int], start: int) -> int:
             low = frontier & -frontier
             nxt |= masks[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & ~reach
+        frontier = nxt & within & ~reach
         reach |= frontier
     return reach
 
@@ -192,11 +153,52 @@ def strongly_connected(g: CommGraph) -> bool:
     return _reach(_row_masks(g.adj), 0) == full and _reach(_row_masks(g.adj.T), 0) == full
 
 
+def strong_components(g: CommGraph) -> List[int]:
+    """The strongly connected components of g, one bitmask of nodes each
+    (Kosaraju). A depth-first pass over the out-edges orders the nodes by
+    finishing time; then each node still unassigned, latest finisher first,
+    collects its component as the nodes that reach it among those left."""
+    out, into = _row_masks(g.adj), _row_masks(g.adj.T)
+    unseen = left = (1 << g.n) - 1
+    order: List[int] = []
+    for s in range(g.n):
+        if not unseen >> s & 1:
+            continue
+        unseen ^= 1 << s
+        stack = [s]
+        while stack:
+            nxt = out[stack[-1]] & unseen
+            if nxt:
+                low = nxt & -nxt
+                unseen ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                order.append(stack.pop())
+    components = []
+    for v in reversed(order):
+        if left >> v & 1:
+            c = _reach(into, v, within=left)
+            components.append(c)
+            left ^= c
+    return components
+
+
 def is_strongly_connected_at(
     points: Sequence[Point], assignment: OrientationAssignment, r: float
 ) -> bool:
     """Strong-connectivity decision at an explicit radius."""
     return strongly_connected(build_comm_graph(points, assignment, r_override=r))
+
+
+def _wedge_edges(
+    i: np.ndarray, j: np.ndarray, coords: np.ndarray, theta: np.ndarray, alpha: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of the pairs i[k], j[k] that are wedge edges, as ids a
+    -> b (b lies in a's wedge) with their distances: the edges i -> j first,
+    then j -> i, each in pair order."""
+    a, b = np.concatenate([i, j]), np.concatenate([j, i])
+    dist, inside = _wedge_rule(coords[a], theta[a], alpha, coords[b])
+    return a[inside], b[inside], dist[inside]
 
 
 Groups = Sequence[Tuple[Sequence[int], Optional[int]]]
@@ -234,10 +236,9 @@ def _certificate_edges(
             others = members[g][i + 1 :] + near
             src.extend([v] * len(others))
             dst.extend(others)
-    a = np.array(src + dst, dtype=np.intp)
-    b = np.array(dst + src, dtype=np.intp)
-    dist, inside = _wedge_rule(coords[a], theta[a], assignment.alpha, coords[b])
-    keep = inside & (dist <= assignment.guaranteed_radius + EPS)
+    i, j = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+    a, b, dist = _wedge_edges(i, j, coords, theta, assignment.alpha)
+    keep = dist <= assignment.guaranteed_radius + EPS
     return a[keep], b[keep]
 
 
@@ -326,14 +327,8 @@ def _pairs_bottleneck_level(
     pairs: Pairs, coords: np.ndarray, theta: np.ndarray, alpha: float
 ) -> float:
     """The larger of the two bottleneck levels over the wedge edges among
-    ``pairs`` (ids i, j and distance d, both directions tested); inf when
-    either sweep misses a node."""
-    i, j, d = pairs
-    ij = _wedge_rule(coords[i], theta[i], alpha, coords[j])[1]
-    ji = _wedge_rule(coords[j], theta[j], alpha, coords[i])[1]
-    # both directions of a pair have the same distance, to the bit
-    a, b = np.concatenate([i[ij], j[ji]]), np.concatenate([j[ij], i[ji]])
-    w = np.concatenate([d[ij], d[ji]])
+    ``pairs`` (both directions tested); inf when either sweep misses a node."""
+    a, b, w = _wedge_edges(pairs[0], pairs[1], coords, theta, alpha)
     n = len(coords)
     out_degree, in_degree = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
     if not (out_degree.all() and in_degree.all()):
@@ -504,18 +499,18 @@ BRUTE_FORCE_MAX = 11
 
 
 def candidate_bisectors(points: Sequence[Point], i: int, alpha: float) -> List[float]:
-    """Bisectors that put a boundary of point i's wedge on another point q:
-    direction(i, q) +- alpha/2 for every q, sorted.
+    """Bisectors that put the clockwise boundary of point i's wedge on another
+    point q: direction(i, q) + alpha/2 for every q, sorted.
 
-    Turning a closed wedge until a boundary meets a covered point loses no
-    covered point, so every coverage pattern of an exact closed wedge lies
-    inside the pattern of one of these. Membership widens the wedge by EPS on
-    each side; a pattern whose points span more than alpha, by at most 2 EPS,
-    may lie inside none of them.
+    Turning a closed wedge counter-clockwise until its clockwise boundary
+    meets a covered point loses no covered point, so every coverage pattern
+    of an exact closed wedge lies inside the pattern of one of these.
+    Membership widens the wedge by EPS on each side; a pattern whose points
+    span more than alpha, by at most 2 EPS, may lie inside none of them.
     """
     p = points[i]
     ds = [math.atan2(q.y - p.y, q.x - p.x) for q in points if q.id != p.id]
-    return sorted({normalize_angle(d + s * 0.5 * alpha) for d in ds for s in (-1.0, 1.0)})
+    return sorted({normalize_angle(d + 0.5 * alpha) for d in ds})
 
 
 def _coverage_masks(

@@ -11,7 +11,9 @@ over ``math.hypot`` and ``angle_diff``, the dense degree-5 spanning tree
 (an n x n distance matrix, tie-broken Prim and a degree repair that scans
 every node pair), and the brute force over every distinct coverage mask of
 a nudged bisector grid. The same binary search over ``feasible_by_bruteforce``
-gives the exact optimum radius over all orientations.
+gives the exact optimum radius over all orientations, and
+``mutual_reach_components`` groups the BFS reachability into strongly
+connected components.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import random
 from collections import deque
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,6 +116,34 @@ def bfs_strongly_connected(n: int, out_edges: Dict[int, Iterable[int]]) -> bool:
         if len(seen) != n:
             return False
     return True
+
+
+def mutual_reach_components(n: int, out_edges: Dict[int, Iterable[int]]) -> List[FrozenSet[int]]:
+    """Strongly connected components as the groups of nodes that reach each
+    other: one BFS per node forwards and one backwards, then nodes with the
+    same forward-and-backward set grouped, in order of their smallest node."""
+
+    def reach(edges: Dict[int, List[int]], s: int) -> FrozenSet[int]:
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            for w in edges[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return frozenset(seen)
+
+    fwd: Dict[int, List[int]] = {v: list(out_edges.get(v, ())) for v in range(n)}
+    back: Dict[int, List[int]] = {v: [] for v in range(n)}
+    for v in range(n):
+        for w in fwd[v]:
+            back[w].append(v)
+    components: List[FrozenSet[int]] = []
+    for v in range(n):
+        c = reach(fwd, v) & reach(back, v)
+        if c not in components:
+            components.append(c)
+    return components
 
 
 def loop_coverage_mask(

@@ -12,7 +12,6 @@ from sectornet.geometry import (
     classify_quad,
     direction,
     point_in_wedge,
-    project_onto_segment,
 )
 
 PI = math.pi
@@ -116,21 +115,6 @@ class TestClassifyQuad:
                 assert {p.id for p in base.hull} == {p.id for p in other.hull}
                 if base.interior is not None:
                     assert base.interior.id == other.interior.id
-
-
-class TestProjection:
-    def test_interior(self):
-        assert project_onto_segment(P(0, 0.5, 3), P(1, 0, 0), P(2, 1, 0)) == (0.5, True)
-
-    def test_beyond_end(self):
-        assert project_onto_segment(P(0, 2, 1), P(1, 0, 0), P(2, 1, 0)) == (2.0, False)
-
-    def test_at_endpoint(self):
-        assert project_onto_segment(P(0, 0, 5), P(1, 0, 0), P(2, 1, 0)) == (0.0, True)
-
-    def test_coincident_segment(self):
-        with pytest.raises(CoincidentPoints):
-            project_onto_segment(P(0, 1, 1), P(1, 2, 2), P(2, 2, 2))
 
 
 class TestCcwAngle:

@@ -13,6 +13,7 @@ from oracles import (
     bfs_strongly_connected,
     binary_search_min_strong_radius,
     exact_min_radius,
+    mutual_reach_components,
     sampled_uncovered_point,
 )
 from sectornet import verifier
@@ -36,8 +37,8 @@ from sectornet.verifier import (
     feasible_by_bruteforce,
     is_strongly_connected_at,
     min_strong_radius,
+    strong_components,
     strongly_connected,
-    tarjan_scc_count,
 )
 from test_topology import OFFSETS, jittered_lattice
 from test_wedge_rule import APERTURES, point_sets
@@ -140,17 +141,46 @@ class TestStronglyConnected:
             assert strongly_connected(g) == bfs_strongly_connected(n, g.out_edges)
 
     def test_scc_count(self):
-        assert tarjan_scc_count(4, {0: frozenset({1}), 1: frozenset({0}), 2: frozenset({3}), 3: frozenset()}) == 3
+        assert len(strong_components(graph_from([(0, 1), (1, 0), (2, 3)], 4))) == 3
+
+
+def as_sets(masks):
+    """Bitmasks of nodes as frozensets of node ids."""
+    return [frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks]
+
+
+class TestStrongComponents:
+    """Kosaraju on the row masks against the mutual-reach oracle."""
+
+    def test_partition_matches_oracle(self):
+        rng = np.random.default_rng(20)
+        for k in range(2600):
+            n = k % 13
+            density = (0.0, 1.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.3))[k // 13 % 4]
+            adj = rng.random((n, n)) < density
+            np.fill_diagonal(adj, False)
+            g = CommGraph(adj)
+            got = sorted(as_sets(strong_components(g)), key=min)
+            assert got == mutual_reach_components(n, g.out_edges), adj
+
+    def test_chain_is_all_singletons(self):
+        n = 3000
+        components = strong_components(graph_from([(v, v + 1) for v in range(n - 1)], n))
+        assert sorted(components) == [1 << v for v in range(n)]
+
+    def test_two_cycles_joined_one_way(self):
+        g = graph_from([(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)], 4)
+        assert sorted(strong_components(g)) == [0b0011, 0b1100]
 
 
 def agree(adj):
-    """The bitmask reach, run both ways, against Tarjan and the per-start BFS
-    oracle; returns the common verdict."""
+    """The bitmask reach, run both ways, against the component count and the
+    per-start BFS oracle; returns the common verdict."""
     n = len(adj)
     g = CommGraph(adj)
     verdict = strongly_connected(g)
-    # Tarjan counts no component at all on the empty graph
-    assert verdict == (tarjan_scc_count(n, g.out_edges) <= 1)
+    # the empty graph has no component at all
+    assert verdict == (len(strong_components(g)) <= 1)
     assert verdict == bfs_strongly_connected(n, g.out_edges)
     assert verdict == _masks_strongly_connected(_row_masks(adj), n)
     return verdict

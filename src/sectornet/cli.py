@@ -26,7 +26,7 @@ from .orient180 import RADIUS_180, orient_all_180
 from .orient90 import RADIUS_90, orient_all_90
 from .svgplot import render_scene
 from .topology import bounded_degree_mst
-from .verifier import build_comm_graph, min_strong_radius, strong_components
+from .verifier import build_comm_graph, component_labels, min_strong_radius
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -118,7 +118,8 @@ def read_orientation_for(points, path):
 def cmd_verify(args) -> int:
     points = read_points(args.input)
     assignment = read_orientation_for(points, args.orientation)
-    sccs = len(strong_components(build_comm_graph(points, assignment, r_override=args.radius)))
+    graph = build_comm_graph(points, assignment, r_override=args.radius)
+    sccs = len(set(component_labels(graph)))
     if sccs <= 1:
         print("STRONG sccs=1")
         return EXIT_OK
@@ -150,8 +151,8 @@ def cmd_plot(args) -> int:
     if assignment is not None:
         if radius is None:
             radius = assignment.guaranteed_radius
-        graph = build_comm_graph(points, assignment, r_override=radius)
-        comm = [(a, b) for a in sorted(graph.out_edges) for b in sorted(graph.out_edges[a])]
+        src, dst = build_comm_graph(points, assignment, r_override=radius).edges
+        comm = list(zip(src.tolist(), dst.tolist()))
     svg = render_scene(points, tree_edges, assignment, radius, comm)
     with open(args.out, "w") as fh:
         fh.write(svg)

@@ -3,12 +3,16 @@ group certificates, minimum strong radius, plane coverage, and brute-force
 feasibility.
 
 One closed-wedge rule, ``_wedge_rule``, decides every coverage question. The
-communication graph has an edge a -> b exactly when b lies in a's wedge;
-``CommGraph`` holds it as a boolean adjacency matrix. Every traversal is one
-bitmask reach, ``_reach``: each node's out-neighbours form one Python int, and
-a graph is strongly connected when node 0 reaches every node forwards and
-backwards. The component report of ``strong_components`` runs on it too
-(Kosaraju: one reach per component over the reversed edges). The
+communication graph has an edge a -> b exactly when b lies in a's wedge.
+``build_comm_graph`` finds it one of two ways. On inputs whose pairs spread
+out it lists the pairs within the radius from the grid of
+``topology.grid_pairs`` and keeps their wedge edges, so ``CommGraph`` holds
+edge arrays and no n x n array is built; dense inputs and small ones get the
+boolean n x n matrix. A graph is strongly connected when node 0 reaches every
+node forwards and backwards: on edge arrays a depth-first reach, ``_flood``,
+over compressed sparse rows (``_csr``) decides it; on the matrix one bitmask
+reach, ``_reach``, in which each node's out-neighbours form one Python int.
+``component_labels`` (Kosaraju) runs on the sparse rows of either form. The
 constructions check themselves with ``certify_groups``, which tests only
 pairs of nodes in groups near each other in their group tree: the edges it
 keeps are edges of the communication graph, so a strongly connected
@@ -16,11 +20,11 @@ certificate proves the whole graph strongly connected without building it.
 The minimum strong radius comes from two bottleneck (minimax) reachability
 sweeps over the wedge-restricted distances. On inputs whose pairs spread out,
 a probe at R = 1, 2, 4, ... runs both sweeps on the pairs within R alone,
-found on the grid of ``topology.grid_pairs``, and builds no n x n array; the
-first probe whose sweeps reach every node gives the exact result. Dense
-inputs, small ones and those no probe decides take the n x n matrix. The
-certificate and the probes get their edges from one builder, ``_wedge_edges``,
-which tests both directions of a pair list.
+found on the same grid, and builds no n x n array; the first probe whose
+sweeps reach every node gives the exact result. Dense inputs, small ones and
+those no probe decides take the n x n matrix. The certificate, the probes
+and the grid route of ``build_comm_graph`` get their edges from one builder,
+``_wedge_edges``, which tests both directions of a pair list.
 
 The brute force decides feasibility for up to BRUTE_FORCE_MAX points from
 each point's maximal coverage patterns, each with its clockwise wedge boundary
@@ -44,26 +48,45 @@ import numpy as np
 from .errors import ConstructionInvariantViolated, MissingOrientation, TooManyPoints
 from .geometry import EPS, TAU, Point, Wedge, normalize_angle
 from .orientation import OrientationAssignment
-from .topology import Pairs, as_coords, grid_pairs, point_set
+from .topology import as_coords, grid_pairs, point_set
 
-# Below this many points one n x n matrix costs no more than a grid probe.
+# Below this many points one n x n matrix costs no more than the grid.
 SPARSE_MIN_N = 32
 
 
 @dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Directed communication graph on point ids 0..n-1: adj[a, b] iff b lies
-    in a's wedge."""
+    """Directed communication graph on point ids 0..n-1, with an edge a -> b
+    iff b lies in a's wedge. It holds either the boolean n x n matrix
+    ``matrix`` (``CommGraph(n, matrix)``) or the edges src[k] -> dst[k], each
+    once in no set order (``CommGraph(n, src=..., dst=...)``); ``edges``,
+    ``adj`` and ``out_edges`` are views that serve both forms."""
 
-    adj: np.ndarray
+    n: int
+    matrix: Optional[np.ndarray] = None
+    src: Optional[np.ndarray] = None
+    dst: Optional[np.ndarray] = None
 
-    @property
-    def n(self) -> int:
-        return len(self.adj)
+    @functools.cached_property
+    def edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Ids a and b of every edge a -> b."""
+        if self.matrix is None:
+            return self.src, self.dst
+        return np.nonzero(self.matrix)
+
+    @functools.cached_property
+    def adj(self) -> np.ndarray:
+        """The boolean n x n matrix, built from the edges when not held."""
+        if self.matrix is not None:
+            return self.matrix
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[self.edges] = True
+        return adj
 
     @functools.cached_property
     def out_edges(self) -> Dict[int, FrozenSet[int]]:
-        return {i: frozenset(np.flatnonzero(row).tolist()) for i, row in enumerate(self.adj)}
+        start, heads = _csr(self.n, *self.edges)
+        return {v: frozenset(heads[start[v] : start[v + 1]]) for v in range(self.n)}
 
 
 def _wedge_rule(
@@ -101,21 +124,66 @@ def _id_arrays(
     return pts.coords, np.array([assignment.theta[p.id] for p in pts], dtype=float)
 
 
+def _wedge_edges(
+    i: np.ndarray, j: np.ndarray, coords: np.ndarray, theta: np.ndarray, alpha: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of the pairs i[k], j[k] that are wedge edges, as ids a
+    -> b (b lies in a's wedge) with their distances: the edges i -> j first,
+    then j -> i, each in pair order."""
+    a, b = np.concatenate([i, j]), np.concatenate([j, i])
+    dist, inside = _wedge_rule(coords[a], theta[a], alpha, coords[b])
+    return a[inside], b[inside], dist[inside]
+
+
+def _diagonal(coords: np.ndarray) -> float:
+    """Length of the diagonal of the points' bounding box (n >= 1)."""
+    return float(np.hypot(*(coords.max(axis=0) - coords.min(axis=0))))
+
+
+def _grid_wedge_edges(
+    coords: np.ndarray, theta: np.ndarray, alpha: float, reach: float, most: float
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The distance d of every pair within ``reach`` > 0, then the wedge edges
+    a, b, dist among those pairs (``_wedge_edges``). The pairs come from
+    ``grid_pairs`` on cells of the smallest power of two >= reach; None when
+    that grid offers more than ``most`` candidates."""
+    m, e = math.frexp(reach)  # reach = m * 2**e, 0.5 <= m < 1
+    pairs = grid_pairs(coords, math.ldexp(1.0, e - (m == 0.5)), reach, most)
+    if pairs is None:
+        return None
+    i, j, d = pairs
+    return (d, *_wedge_edges(i, j, coords, theta, alpha))
+
+
 def build_comm_graph(
     points: Sequence[Point],
     assignment: OrientationAssignment,
     r_override: Optional[float] = None,
 ) -> CommGraph:
-    """Communication graph induced by the assignment's wedges.
+    """Communication graph induced by the assignment's wedges: a -> b when b
+    lies in a's wedge within r + EPS of a.
 
-    ``r_override`` replaces the assignment's radius when given.
+    ``r_override`` replaces the assignment's radius r when given. Inputs of
+    SPARSE_MIN_N points or more with 0 < r + EPS below the bounding-box
+    diagonal take the grid route: the graph holds the edges among the pairs
+    of ``_grid_wedge_edges``, unless its grid offers more than half of the
+    n(n-1)/2 pairs as candidates. Every other input, NaN and infinite radii
+    among them, gets the n x n matrix. Both routes give the same edges.
     """
     r = assignment.guaranteed_radius if r_override is None else r_override
     coords, theta = _id_arrays(points, assignment)
+    n = len(coords)
+    reach = r + EPS
+    if n >= SPARSE_MIN_N and 0 < reach < _diagonal(coords):
+        found = _grid_wedge_edges(coords, theta, assignment.alpha, reach, most=n * (n - 1) / 4)
+        if found is not None:
+            _, a, b, dist = found
+            keep = dist <= reach
+            return CommGraph(n, src=a[keep], dst=b[keep])
     dist, inside = _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])
-    adj = (dist <= r + EPS) & inside
+    adj = (dist <= reach) & inside
     np.fill_diagonal(adj, False)
-    return CommGraph(adj)
+    return CommGraph(n, adj)
 
 
 def _row_masks(adj: np.ndarray) -> List[int]:
@@ -124,9 +192,9 @@ def _row_masks(adj: np.ndarray) -> List[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _reach(masks: Sequence[int], start: int, within: int = -1) -> int:
-    """Bitmask of the nodes reachable from ``start`` through the nodes of
-    ``within``; masks[v] is v's out-neighbours."""
+def _reach(masks: Sequence[int], start: int) -> int:
+    """Bitmask of the nodes reachable from ``start``; masks[v] is v's
+    out-neighbours."""
     reach = frontier = 1 << start
     while frontier:
         nxt = 0
@@ -134,7 +202,7 @@ def _reach(masks: Sequence[int], start: int, within: int = -1) -> int:
             low = frontier & -frontier
             nxt |= masks[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & within & ~reach
+        frontier = nxt & ~reach
         reach |= frontier
     return reach
 
@@ -145,42 +213,91 @@ def _masks_strongly_connected(masks: Sequence[int], n: int) -> bool:
     return all(_reach(masks, s) == full for s in range(n))
 
 
+def _csr(n: int, src: np.ndarray, *columns: np.ndarray) -> Tuple[List[int], ...]:
+    """Compressed sparse rows of the edges out of src[k] among nodes 0..n-1:
+    ``start``, then each of ``columns`` in source order, as lists. The row
+    of v spans [start[v], start[v + 1])."""
+    order = np.argsort(src)
+    start = [0] + np.bincount(src, minlength=n).cumsum().tolist()
+    return (start, *(c[order].tolist() for c in columns))
+
+
+def _flood(start: List[int], heads: List[int], s: int, label: List[int], mark: int) -> int:
+    """Labels ``mark`` on s and on every node that s reaches through nodes
+    labelled -1 over the sparse rows ``start``, ``heads``; returns how many
+    nodes it labelled."""
+    label[s] = mark
+    stack = [s]
+    count = 1
+    while stack:
+        v = stack.pop()
+        for w in heads[start[v] : start[v + 1]]:
+            if label[w] < 0:
+                label[w] = mark
+                count += 1
+                stack.append(w)
+    return count
+
+
 def strongly_connected(g: CommGraph) -> bool:
-    """Node 0 reaches every node and every node reaches node 0."""
-    if g.n <= 1:
+    """Node 0 reaches every node and every node reaches node 0: one bitmask
+    reach each way on a matrix, one depth-first reach over compressed sparse
+    rows each way on edges."""
+    n = g.n
+    if n <= 1:
         return True
-    full = (1 << g.n) - 1
-    return _reach(_row_masks(g.adj), 0) == full and _reach(_row_masks(g.adj.T), 0) == full
+    if g.matrix is not None:
+        full = (1 << n) - 1
+        return _reach(_row_masks(g.matrix), 0) == full and _reach(_row_masks(g.matrix.T), 0) == full
+    src, dst = g.edges
+    return all(_flood(*_csr(n, a, b), 0, [-1] * n, 0) == n for a, b in ((src, dst), (dst, src)))
+
+
+def component_labels(g: CommGraph) -> List[int]:
+    """Each node's strongly connected component, numbered 0, 1, ... as found
+    (Kosaraju over compressed sparse rows). A depth-first pass over the
+    out-edges orders the nodes by finishing time; then each node still
+    unlabelled, latest finisher first, labels its component: the unlabelled
+    nodes that reach it."""
+    n = g.n
+    src, dst = g.edges
+    start, heads = _csr(n, src, dst)
+    seen = [False] * n
+    order: List[int] = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        # each entry holds a node and the iterator over its row's untried edges
+        stack = [(s, iter(heads[start[s] : start[s + 1]]))]
+        while stack:
+            v, row = stack[-1]
+            for w in row:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(heads[start[w] : start[w + 1]])))
+                    break
+            else:
+                order.append(v)
+                stack.pop()
+    label = [-1] * n
+    start, tails = _csr(n, dst, src)
+    found = 0
+    for v in reversed(order):
+        if label[v] < 0:
+            _flood(start, tails, v, label, found)
+            found += 1
+    return label
 
 
 def strong_components(g: CommGraph) -> List[int]:
-    """The strongly connected components of g, one bitmask of nodes each
-    (Kosaraju). A depth-first pass over the out-edges orders the nodes by
-    finishing time; then each node still unassigned, latest finisher first,
-    collects its component as the nodes that reach it among those left."""
-    out, into = _row_masks(g.adj), _row_masks(g.adj.T)
-    unseen = left = (1 << g.n) - 1
-    order: List[int] = []
-    for s in range(g.n):
-        if not unseen >> s & 1:
-            continue
-        unseen ^= 1 << s
-        stack = [s]
-        while stack:
-            nxt = out[stack[-1]] & unseen
-            if nxt:
-                low = nxt & -nxt
-                unseen ^= low
-                stack.append(low.bit_length() - 1)
-            else:
-                order.append(stack.pop())
-    components = []
-    for v in reversed(order):
-        if left >> v & 1:
-            c = _reach(into, v, within=left)
-            components.append(c)
-            left ^= c
-    return components
+    """The strongly connected components of g, one bitmask of nodes each, in
+    the order ``component_labels`` numbers them."""
+    label = component_labels(g)
+    masks = [0] * (max(label, default=-1) + 1)
+    for v, c in enumerate(label):
+        masks[c] |= 1 << v
+    return masks
 
 
 def is_strongly_connected_at(
@@ -188,17 +305,6 @@ def is_strongly_connected_at(
 ) -> bool:
     """Strong-connectivity decision at an explicit radius."""
     return strongly_connected(build_comm_graph(points, assignment, r_override=r))
-
-
-def _wedge_edges(
-    i: np.ndarray, j: np.ndarray, coords: np.ndarray, theta: np.ndarray, alpha: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both directions of the pairs i[k], j[k] that are wedge edges, as ids a
-    -> b (b lies in a's wedge) with their distances: the edges i -> j first,
-    then j -> i, each in pair order."""
-    a, b = np.concatenate([i, j]), np.concatenate([j, i])
-    dist, inside = _wedge_rule(coords[a], theta[a], alpha, coords[b])
-    return a[inside], b[inside], dist[inside]
 
 
 Groups = Sequence[Tuple[Sequence[int], Optional[int]]]
@@ -293,17 +399,12 @@ def _bottleneck_level(w: np.ndarray) -> float:
     return level
 
 
-def _csr_bottleneck_level(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, degree: np.ndarray
-) -> float:
-    """``_bottleneck_level`` of the edges src[k] -> dst[k] of weight w[k], where
-    degree[v] counts the edges out of v. The edges sit in compressed sparse
-    rows, and the reached set grows one node at a time, cheapest edge first:
-    the largest weight it takes is the same level."""
-    n = len(degree)
-    order = np.argsort(src)
-    dst, w = dst[order].tolist(), w[order].tolist()
-    start = [0] + degree.cumsum().tolist()
+def _csr_bottleneck_level(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> float:
+    """``_bottleneck_level`` of the edges src[k] -> dst[k] of weight w[k] among
+    nodes 0..n-1. The edges sit in compressed sparse rows, and the reached
+    set grows one node at a time, cheapest edge first: the largest weight it
+    takes is the same level."""
+    start, dst, w = _csr(n, src, dst, w)
     reached = [False] * n
     heap = [(0.0, 0)]
     level = 0.0
@@ -323,20 +424,15 @@ def _csr_bottleneck_level(
     return math.inf
 
 
-def _pairs_bottleneck_level(
-    pairs: Pairs, coords: np.ndarray, theta: np.ndarray, alpha: float
-) -> float:
-    """The larger of the two bottleneck levels over the wedge edges among
-    ``pairs`` (both directions tested); inf when either sweep misses a node."""
-    a, b, w = _wedge_edges(pairs[0], pairs[1], coords, theta, alpha)
-    n = len(coords)
-    out_degree, in_degree = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
-    if not (out_degree.all() and in_degree.all()):
+def _edges_bottleneck_level(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    """The larger of the two bottleneck levels over the edges a[k] -> b[k] of
+    weight w[k]; inf when either sweep misses a node."""
+    if not (np.bincount(a, minlength=n).all() and np.bincount(b, minlength=n).all()):
         return math.inf
-    level = _csr_bottleneck_level(a, b, w, out_degree)
+    level = _csr_bottleneck_level(n, a, b, w)
     if level == math.inf:
         return level
-    return max(level, _csr_bottleneck_level(b, a, w, in_degree))
+    return max(level, _csr_bottleneck_level(n, b, a, w))
 
 
 def min_strong_radius(
@@ -352,7 +448,7 @@ def min_strong_radius(
     distances lie within EPS of each other. None when no radius suffices.
 
     Inputs of SPARSE_MIN_N points or more first probe R = 1, 2, 4, ...: the
-    pairs within R come from ``topology.grid_pairs`` on cells R wide, and both
+    pairs within R come from ``_grid_wedge_edges`` on cells R wide, and both
     sweeps run on their wedge edges alone. When both reach every node, B <= R,
     and every edge up to B and every distance in [B - EPS, B] is among those
     pairs, so B and c are exact. A probe whose grid offers more than a quarter
@@ -365,15 +461,15 @@ def min_strong_radius(
     if n <= 1:
         return 0.0
     if n >= SPARSE_MIN_N:
-        span = float(np.hypot(*(coords.max(axis=0) - coords.min(axis=0))))
+        span = _diagonal(coords)
         r = 1.0
         while r < span:
-            pairs = grid_pairs(coords, r, r, most=n * (n - 1) / 8)
-            if pairs is None:
+            found = _grid_wedge_edges(coords, theta, assignment.alpha, r, most=n * (n - 1) / 8)
+            if found is None:
                 break
-            level = _pairs_bottleneck_level(pairs, coords, theta, assignment.alpha)
+            d, a, b, w = found
+            level = _edges_bottleneck_level(n, a, b, w)
             if level < math.inf:
-                d = pairs[2]
                 return float(d[d + EPS >= level].min())
             r *= 2.0
     dist, inside = _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])

@@ -54,7 +54,7 @@ def graph_from(edges, n):
     adj = np.zeros((n, n), dtype=bool)
     for a, b in edges:
         adj[a, b] = True
-    return CommGraph(adj)
+    return CommGraph(n, adj)
 
 
 class TestBuildCommGraph:
@@ -150,7 +150,7 @@ def as_sets(masks):
 
 
 class TestStrongComponents:
-    """Kosaraju on the row masks against the mutual-reach oracle."""
+    """Kosaraju over compressed sparse rows against the mutual-reach oracle."""
 
     def test_partition_matches_oracle(self):
         rng = np.random.default_rng(20)
@@ -159,9 +159,14 @@ class TestStrongComponents:
             density = (0.0, 1.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.3))[k // 13 % 4]
             adj = rng.random((n, n)) < density
             np.fill_diagonal(adj, False)
-            g = CommGraph(adj)
+            g = CommGraph(n, adj)
             got = sorted(as_sets(strong_components(g)), key=min)
             assert got == mutual_reach_components(n, g.out_edges), adj
+            # the same edges in another order, held as arrays
+            src, dst = np.nonzero(adj)
+            shuffled = np.random.default_rng(k).permutation(len(src))
+            sparse = CommGraph(n, src=src[shuffled], dst=dst[shuffled])
+            assert sorted(as_sets(strong_components(sparse)), key=min) == got
 
     def test_chain_is_all_singletons(self):
         n = 3000
@@ -174,14 +179,19 @@ class TestStrongComponents:
 
 
 def agree(adj):
-    """The bitmask reach, run both ways, against the component count and the
-    per-start BFS oracle; returns the common verdict."""
+    """The bitmask reach on the matrix and the sparse reach on its edges, each
+    run both ways, against the component count and the per-start BFS oracle;
+    returns the common verdict."""
     n = len(adj)
-    g = CommGraph(adj)
+    g = CommGraph(n, adj)
+    src, dst = np.nonzero(adj)
+    sparse = CommGraph(n, src=src, dst=dst)
     verdict = strongly_connected(g)
+    assert strongly_connected(sparse) == verdict
     # the empty graph has no component at all
     assert verdict == (len(strong_components(g)) <= 1)
     assert verdict == bfs_strongly_connected(n, g.out_edges)
+    assert sparse.out_edges == g.out_edges
     assert verdict == _masks_strongly_connected(_row_masks(adj), n)
     return verdict
 

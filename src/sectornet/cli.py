@@ -26,7 +26,7 @@ from .orient180 import RADIUS_180, orient_all_180
 from .orient90 import RADIUS_90, orient_all_90
 from .svgplot import render_scene
 from .topology import bounded_degree_mst
-from .verifier import build_comm_graph, component_labels, min_strong_radius
+from .verifier import build_comm_graph, component_labels, min_strong_radius, strongly_connected
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -119,11 +119,11 @@ def cmd_verify(args) -> int:
     points = read_points(args.input)
     assignment = read_orientation_for(points, args.orientation)
     graph = build_comm_graph(points, assignment, r_override=args.radius)
-    sccs = len(set(component_labels(graph)))
-    if sccs <= 1:
+    # the two reaches decide; only a graph that is not strong is counted
+    if strongly_connected(graph):
         print("STRONG sccs=1")
         return EXIT_OK
-    print(f"NOT-STRONG sccs={sccs}")
+    print(f"NOT-STRONG sccs={len(set(component_labels(graph)))}")
     return EXIT_NEGATIVE
 
 

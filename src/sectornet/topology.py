@@ -88,8 +88,8 @@ def point_set(points: Sequence[Point]) -> PointSet:
         raise ValueError("point ids must be distinct and contiguous from 0")
     pts.coords = as_coords(pts)
     pts.coords.flags.writeable = False
-    bad = ~np.isfinite(pts.coords).all(axis=1)
-    if bad.any():
+    if not np.isfinite(pts.coords).all():
+        bad = ~np.isfinite(pts.coords).all(axis=1)
         raise ValueError(f"point {bad.argmax()} has non-finite coordinates")
     return pts
 

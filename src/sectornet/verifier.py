@@ -2,27 +2,31 @@
 group certificates, minimum strong radius, plane coverage, and brute-force
 feasibility.
 
-One closed-wedge rule, ``_wedge_rule``, decides every coverage question. The
-communication graph has an edge a -> b exactly when b lies in a's wedge.
-``build_comm_graph`` finds it one of two ways. On inputs whose pairs spread
-out it lists the pairs within the radius from the grid of
+One closed-wedge rule, ``_wedge_rule``, decides every coverage question. It
+treats points as complex numbers, turns each difference by e^(-i theta) and
+compares the one arctan2 of the result, which lies in [-pi, pi], with
+alpha/2 + EPS. The communication graph has an edge a -> b exactly when b lies
+in a's wedge. ``build_comm_graph`` finds it one of two ways. On inputs whose
+pairs spread out it lists the pairs within the radius from the grid of
 ``topology.grid_pairs`` and keeps their wedge edges, so ``CommGraph`` holds
 edge arrays and no n x n array is built; dense inputs and small ones get the
-boolean n x n matrix. A graph is strongly connected when node 0 reaches every
-node forwards and backwards: on edge arrays a depth-first reach, ``_flood``,
-over compressed sparse rows (``_csr``) decides it; on the matrix one bitmask
-reach, ``_reach``, in which each node's out-neighbours form one Python int.
-``component_labels`` (Kosaraju) runs on the sparse rows of either form. The
-constructions check themselves with ``certify_groups``, which tests only
-pairs of nodes in groups near each other in their group tree: the edges it
-keeps are edges of the communication graph, so a strongly connected
-certificate proves the whole graph strongly connected without building it.
-The minimum strong radius comes from two bottleneck (minimax) reachability
-sweeps over the wedge-restricted distances. On inputs whose pairs spread out,
-a probe at R = 1, 2, 4, ... runs both sweeps on the pairs within R alone,
-found on the same grid, and builds no n x n array; the first probe whose
-sweeps reach every node gives the exact result. Dense inputs, small ones and
-those no probe decides take the n x n matrix. The certificate, the probes
+boolean n x n matrix, filled _BLOCK apex rows at a time so that no n x n
+float or complex temporary exists. A graph is strongly connected when node 0
+reaches every node forwards and backwards: on edge arrays a depth-first
+reach, ``_flood``, over compressed sparse rows (``_csr``) decides it; on the
+matrix one bitmask reach, ``_reach``, in which each node's out-neighbours
+form one Python int. ``component_labels`` (Kosaraju) runs on the sparse rows
+of either form. The constructions check themselves with ``certify_groups``,
+which tests only pairs of nodes in groups near each other in their group
+tree: the edges it keeps are edges of the communication graph, so a strongly
+connected certificate proves the whole graph strongly connected without
+building it. The minimum strong radius comes from two bottleneck (minimax)
+reachability sweeps over the wedge-restricted distances. On inputs whose
+pairs spread out, a probe at R = 1, 2, 4, ... runs both sweeps on the pairs
+within R alone, found on the same grid, and builds no n x n array; the first
+probe whose sweeps reach every node gives the exact result. Dense inputs,
+small ones and those no probe decides take the n x n distances and weights,
+filled in row blocks as in ``build_comm_graph``. The certificate, the probes
 and the grid route of ``build_comm_graph`` get their edges from one builder,
 ``_wedge_edges``, which tests both directions of a pair list.
 
@@ -52,6 +56,11 @@ from .topology import as_coords, grid_pairs, point_set
 
 # Below this many points one n x n matrix costs no more than the grid.
 SPARSE_MIN_N = 32
+# Apex rows per block where an n x n result is filled: a block's temporaries
+# are O(_BLOCK * n).
+_BLOCK = 64
+# Fewest differences for which np.abs and its band check beat np.hypot.
+_BAND_MIN = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,50 +98,57 @@ class CommGraph:
         return {v: frozenset(heads[start[v] : start[v + 1]]) for v in range(self.n)}
 
 
-def _wedge_rule(
-    apex: np.ndarray, theta: np.ndarray, alpha: float | np.ndarray, targets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """dist from each apex to its target, and inside: the direction apex ->
-    target lies in the closed wedge with bisector theta and aperture alpha, at
-    any radius. Elementwise: coordinates sit on the last axis of ``apex`` and
-    ``targets``, whose other axes broadcast to the result's shape, and
-    ``theta`` and ``alpha`` (one scalar, or one per apex) broadcast into it.
-    Pass ``apex[:, None]``, ``theta[:, None]`` and ``targets[None, :]`` for
-    every apex against every target. ``inside`` is meaningless where dist is 0."""
-    dx = targets[..., 0] - apex[..., 0]
-    dy = targets[..., 1] - apex[..., 1]
-    dist = np.hypot(dx, dy)
-    # the angular difference is folded into |.| <= pi in place, in dx
-    diff = np.arctan2(dy, dx, out=dx)
-    del dy
-    diff -= theta
-    diff += math.pi
-    np.mod(diff, TAU, out=diff)
-    diff -= math.pi
-    np.abs(diff, out=diff)
-    return dist, diff <= 0.5 * alpha + EPS
+def _wedge_rule(d: np.ndarray, turn: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
+    """Whether each direction d lies in its closed wedge, at any radius. d is
+    the complex difference target - apex, turn = e^(-i theta) (``_turn``)
+    turns the wedge's bisector theta to direction 0, and alpha is its
+    aperture (one scalar, or one per apex); the three broadcast to the
+    result's shape. d * turn has the angle off the bisector as its direction,
+    and arctan2 gives that angle in [-pi, pi], so no fold is needed. A zero
+    difference reads as direction 0."""
+    w = d * turn
+    np.copyto(w, turn, where=d == 0)
+    off = np.arctan2(w.imag, w.real)
+    return np.abs(off, out=off) <= 0.5 * alpha + EPS
 
 
 def _id_arrays(
     points: Sequence[Point], assignment: OrientationAssignment
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Coordinates and bisectors of the ``point_set`` of the points, in id order."""
+    """Coordinates of the ``point_set`` of the points and the turns e^(-i theta)
+    of their bisectors (``_wedge_rule``), in id order."""
     pts = point_set(points)
-    missing = [p.id for p in pts if p.id not in assignment.theta]
-    if missing:
-        raise MissingOrientation(f"no orientation for point ids {missing}")
-    return pts.coords, np.array([assignment.theta[p.id] for p in pts], dtype=float)
+    try:
+        theta = [assignment.theta[p.id] for p in pts]
+    except KeyError:
+        missing = [p.id for p in pts if p.id not in assignment.theta]
+        raise MissingOrientation(f"no orientation for point ids {missing}") from None
+    return pts.coords, _turn(theta)
+
+
+def _turn(theta: Sequence[float]) -> np.ndarray:
+    """e^(-i theta) for each bisector theta: a difference multiplied by it
+    has its angle off the bisector as its direction."""
+    return np.exp([t * -1j for t in theta])
+
+
+def _complex(coords: np.ndarray) -> np.ndarray:
+    """The (n, 2) C-contiguous coordinates as n complex numbers x + iy, a view."""
+    return coords.view(complex)[:, 0]
 
 
 def _wedge_edges(
-    i: np.ndarray, j: np.ndarray, coords: np.ndarray, theta: np.ndarray, alpha: float
+    i: np.ndarray, j: np.ndarray, coords: np.ndarray, turn: np.ndarray, alpha: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both directions of the pairs i[k], j[k] that are wedge edges, as ids a
     -> b (b lies in a's wedge) with their distances: the edges i -> j first,
     then j -> i, each in pair order."""
     a, b = np.concatenate([i, j]), np.concatenate([j, i])
-    dist, inside = _wedge_rule(coords[a], theta[a], alpha, coords[b])
-    return a[inside], b[inside], dist[inside]
+    z = _complex(coords)
+    d = z[b] - z[a]
+    inside = _wedge_rule(d, turn[a], alpha)
+    d = d[inside]
+    return a[inside], b[inside], np.hypot(d.real, d.imag)
 
 
 def _diagonal(coords: np.ndarray) -> float:
@@ -141,7 +157,7 @@ def _diagonal(coords: np.ndarray) -> float:
 
 
 def _grid_wedge_edges(
-    coords: np.ndarray, theta: np.ndarray, alpha: float, reach: float, most: float
+    coords: np.ndarray, turn: np.ndarray, alpha: float, reach: float, most: float
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The distance d of every pair within ``reach`` > 0, then the wedge edges
     a, b, dist among those pairs (``_wedge_edges``). The pairs come from
@@ -152,7 +168,7 @@ def _grid_wedge_edges(
     if pairs is None:
         return None
     i, j, d = pairs
-    return (d, *_wedge_edges(i, j, coords, theta, alpha))
+    return (d, *_wedge_edges(i, j, coords, turn, alpha))
 
 
 def build_comm_graph(
@@ -171,25 +187,48 @@ def build_comm_graph(
     among them, gets the n x n matrix. Both routes give the same edges.
     """
     r = assignment.guaranteed_radius if r_override is None else r_override
-    coords, theta = _id_arrays(points, assignment)
+    coords, turn = _id_arrays(points, assignment)
     n = len(coords)
     reach = r + EPS
     if n >= SPARSE_MIN_N and 0 < reach < _diagonal(coords):
-        found = _grid_wedge_edges(coords, theta, assignment.alpha, reach, most=n * (n - 1) / 4)
+        found = _grid_wedge_edges(coords, turn, assignment.alpha, reach, most=n * (n - 1) / 4)
         if found is not None:
             _, a, b, dist = found
             keep = dist <= reach
             return CommGraph(n, src=a[keep], dst=b[keep])
-    dist, inside = _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])
-    adj = (dist <= reach) & inside
-    np.fill_diagonal(adj, False)
+    z = _complex(coords)
+    adj = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        d = z - z[rows, None]
+        inside = _wedge_rule(d, turn[rows, None], assignment.alpha)
+        np.logical_and(_within(d, reach), inside, out=adj[rows])
+    adj.flat[:: n + 1] = False
     return CommGraph(n, adj)
+
+
+def _within(d: np.ndarray, reach: float) -> np.ndarray:
+    """|d| <= reach for complex d, exactly as np.hypot decides it. np.abs is
+    within 2 ulp of np.hypot and several times faster: it decides every d
+    outside the band within a relative 1e-12 of reach, and np.hypot the band.
+    Below _BAND_MIN entries np.hypot alone costs less than that check."""
+    if d.size < _BAND_MIN:
+        return np.hypot(d.real, d.imag) <= reach
+    tol = 1e-12 * abs(reach)
+    near = np.abs(d)
+    within = near <= reach + tol
+    inner = near <= reach - tol
+    if np.count_nonzero(within) != np.count_nonzero(inner):
+        band = within != inner
+        within[band] = np.hypot(d.real[band], d.imag[band]) <= reach
+    return within
 
 
 def _row_masks(adj: np.ndarray) -> List[int]:
     """Row i of a boolean matrix as an int with bit j set iff adj[i, j]."""
     packed = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in range(len(packed))]
 
 
 def _reach(masks: Sequence[int], start: int) -> int:
@@ -322,7 +361,7 @@ def _certificate_edges(
     grandparent and its earlier siblings, which covers every pair of groups
     at most two edges apart exactly once.
     """
-    coords, theta = _id_arrays(points, assignment)
+    coords, turn = _id_arrays(points, assignment)
     group_of = [0] * len(coords)
     for g, (members, _) in enumerate(groups):
         for v in members:
@@ -343,7 +382,7 @@ def _certificate_edges(
             src.extend([v] * len(others))
             dst.extend(others)
     i, j = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-    a, b, dist = _wedge_edges(i, j, coords, theta, assignment.alpha)
+    a, b, dist = _wedge_edges(i, j, coords, turn, assignment.alpha)
     keep = dist <= assignment.guaranteed_radius + EPS
     return a[keep], b[keep]
 
@@ -388,13 +427,15 @@ def _bottleneck_level(w: np.ndarray) -> float:
     best = w[0].copy()
     best[0] = np.inf
     level = 0.0
-    while not reached.all():
+    left = len(w) - 1
+    while left:
         level = max(level, float(best.min()))
         if level == np.inf:
             break
         new = best <= level
+        left -= np.count_nonzero(new)
         reached |= new
-        best = np.minimum(best, w[new].min(axis=0))
+        np.minimum(best, w[new].min(axis=0), out=best)
         best[reached] = np.inf
     return level
 
@@ -456,7 +497,7 @@ def min_strong_radius(
     hands over to the n x n matrix; so does a smaller input, and the matrix is
     also what finds None.
     """
-    coords, theta = _id_arrays(points, assignment)
+    coords, turn = _id_arrays(points, assignment)
     n = len(coords)
     if n <= 1:
         return 0.0
@@ -464,7 +505,7 @@ def min_strong_radius(
         span = _diagonal(coords)
         r = 1.0
         while r < span:
-            found = _grid_wedge_edges(coords, theta, assignment.alpha, r, most=n * (n - 1) / 8)
+            found = _grid_wedge_edges(coords, turn, assignment.alpha, r, most=n * (n - 1) / 8)
             if found is None:
                 break
             d, a, b, w = found
@@ -472,13 +513,22 @@ def min_strong_radius(
             if level < math.inf:
                 return float(d[d + EPS >= level].min())
             r *= 2.0
-    dist, inside = _wedge_rule(coords[:, None], theta[:, None], assignment.alpha, coords[None, :])
+    z = _complex(coords)
+    dist = np.empty((n, n))
+    inside = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        d = z - z[rows, None]
+        np.hypot(d.real, d.imag, out=dist[rows])
+        inside[rows] = _wedge_rule(d, turn[rows, None], assignment.alpha)
     np.fill_diagonal(dist, np.inf)
     w = np.where(inside, dist, np.inf)
+    del inside
     b = max(_bottleneck_level(w), _bottleneck_level(w.T))
     if b == np.inf:
         return None
-    return float(dist[dist + EPS >= b].min())
+    np.add(dist, EPS, out=w)  # the sweeps are done with w
+    return float(dist.min(where=w >= b, initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +630,11 @@ def covers_plane(wedges: Sequence[Wedge]) -> bool:
             candidates.append((sx + delta * nx, sy + delta * ny))
             candidates.append((sx - delta * nx, sy - delta * ny))
 
-    apex = as_coords([w.apex for w in wedges])
-    theta = np.array([[w.theta] for w in wedges])
-    alpha = np.array([[w.alpha] for w in wedges])
-    dist, inside = _wedge_rule(apex[:, None], theta, alpha, np.asarray(candidates)[None, :])
-    return bool((inside | (dist == 0.0)).any(axis=0).all())
+    apex = _complex(as_coords([w.apex for w in wedges]))
+    d = _complex(np.asarray(candidates)) - apex[:, None]
+    turn = _turn([w.theta for w in wedges])[:, None]
+    inside = _wedge_rule(d, turn, np.array([[w.alpha] for w in wedges]))
+    return bool((inside | (d == 0)).any(axis=0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +664,10 @@ def _coverage_masks(
 ) -> List[int]:
     """For each bisector in ``thetas``, the bitmask of the points (by index)
     that point i's wedge covers at radius r."""
-    coords = as_coords(points)
-    # one apex row per bisector: the rule works in place on the apex-target shape
-    apex = np.repeat(coords[i : i + 1], len(thetas), axis=0)
-    dist, inside = _wedge_rule(
-        apex[:, None], np.asarray(thetas, dtype=float)[:, None], alpha, coords[None, :]
-    )
-    covered = inside & (dist <= r + EPS)
+    z = _complex(as_coords(points))
+    d = z - z[i]
+    covered = _wedge_rule(d, _turn(thetas)[:, None], alpha)
+    covered &= np.hypot(d.real, d.imag) <= r + EPS
     covered[:, i] = False
     return _row_masks(covered)
 

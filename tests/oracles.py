@@ -3,11 +3,12 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes. Seven are reference implementations kept for differential
+coverage probes. Eight are reference implementations kept for differential
 tests: the binary search for the minimum strong radius, the quadratic
 random-UDG generator, the two quadratic tree groupings that walk the whole
 residual tree again after every removal, the per-point coverage-mask loop
-over ``math.hypot`` and ``angle_diff``, the dense degree-5 spanning tree
+over ``math.hypot`` and ``angle_diff``, the closed-wedge rule that folds
+angle differences with ``np.mod``, the dense degree-5 spanning tree
 (an n x n distance matrix, tie-broken Prim and a degree repair that scans
 every node pair), and the brute force over every distinct coverage mask of
 a nudged bisector grid. The same binary search over ``feasible_by_bruteforce``
@@ -161,6 +162,23 @@ def loop_coverage_mask(
         ) <= 0.5 * alpha + EPS:
             mask |= 1 << j
     return mask
+
+
+def fold_wedge_rule(
+    apex: np.ndarray, theta: np.ndarray, alpha, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The closed-wedge rule as the verifier evaluated it before it rotated
+    differences: dist from each apex to its target (``np.hypot``), and inside,
+    whether the direction arctan2(dy, dx), less theta and folded into [-pi, pi]
+    by ``np.mod``, lies within alpha / 2 + EPS. Coordinates sit on the last
+    axis of ``apex`` and ``targets``; everything broadcasts to the result's
+    shape. A zero difference has direction arctan2(0, 0) = 0."""
+    dx = targets[..., 0] - apex[..., 0]
+    dy = targets[..., 1] - apex[..., 1]
+    dist = np.hypot(dx, dy)
+    diff = np.arctan2(dy, dx) - theta + math.pi
+    diff = np.abs(np.mod(diff, 2 * math.pi) - math.pi)
+    return dist, diff <= 0.5 * alpha + EPS
 
 
 def tree_edges_cross(coords: np.ndarray, edges: Sequence[Tuple[int, int]]) -> bool:

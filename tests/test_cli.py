@@ -2,12 +2,17 @@ import math
 
 import pytest
 
+from oracles import mutual_reach_components
 from sectornet import cli
 from sectornet.cli import main
 from sectornet.errors import ConstructionInvariantViolated
-from sectornet.fileio import read_orientation, read_points, write_points
+from sectornet.fileio import read_orientation, read_points, write_orientation, write_points
 from sectornet.geometry import Point
+from sectornet.instances import random_connected_udg
+from sectornet.orient90 import orient_all_90
 from sectornet.orient180 import RADIUS_180
+from sectornet.orientation import OrientationAssignment
+from sectornet.verifier import build_comm_graph
 
 
 def run(capsys, *argv):
@@ -59,8 +64,6 @@ class TestOrientCommand:
         code, stdout, _ = run(capsys, "witness", "--kind", "collinear", "--param", "2", "--out", str(tmp_path / "x.txt"))
         assert code == 0
         src = tmp_path / "pts.txt"
-        from sectornet.instances import random_connected_udg
-
         write_points(src, random_connected_udg(50, 12, 7.0))
         out = tmp_path / "orient.txt"
         code, stdout, _ = run(capsys, "orient", "--input", str(src), "--alpha", "90", "--out", str(out))
@@ -174,6 +177,41 @@ class TestVerifyCommand:
         assert code == 0 and "STRONG sccs=1" in stdout
 
 
+class TestVerifyOnTheMatrixRoute:
+    """A dense blob of 120 points in a 6 x 6 box: the grid offers nearly every
+    pair at r = 7, so build_comm_graph holds the n x n matrix."""
+
+    @staticmethod
+    def blob(tmp_path, theta=None):
+        pts = random_connected_udg(120, 5, 6.0)
+        a = orient_all_90(pts)
+        if theta is not None:
+            a = OrientationAssignment(alpha=a.alpha, theta=theta(pts), guaranteed_radius=a.guaranteed_radius)
+        assert build_comm_graph(pts, a).matrix is not None
+        src, orient = tmp_path / "pts.txt", tmp_path / "orient.txt"
+        write_points(src, pts)
+        write_orientation(orient, a)
+        return pts, a, ["verify", "--input", str(src), "--orientation", str(orient)]
+
+    def test_strong_skips_the_component_count(self, tmp_path, capsys, monkeypatch):
+        _, _, argv = self.blob(tmp_path)
+
+        def no_count(graph):
+            raise AssertionError("a strong graph needs no component count")
+
+        monkeypatch.setattr(cli, "component_labels", no_count)
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and stdout == "STRONG sccs=1\n"
+
+    def test_not_strong_counts_components(self, tmp_path, capsys):
+        # every wedge faces +x: the point of largest x reaches nobody
+        pts, a, argv = self.blob(tmp_path, theta=lambda pts: {p.id: 0.0 for p in pts})
+        expected = len(mutual_reach_components(len(pts), build_comm_graph(pts, a).out_edges))
+        assert expected > 1
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 1 and stdout == f"NOT-STRONG sccs={expected}\n"
+
+
 class TestWitnessCommand:
     def test_collinear_four(self, tmp_path, capsys):
         out = tmp_path / "w.txt"
@@ -257,8 +295,6 @@ class TestExperimentCommand:
 
 class TestDeterminism:
     def test_outputs_byte_identical(self, tmp_path, capsys):
-        from sectornet.instances import random_connected_udg
-
         src = tmp_path / "pts.txt"
         write_points(src, random_connected_udg(20, 5, 4.0))
         outs = []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import bfs_strongly_connected, mutual_reach_components
-from sectornet import verifier
+from sectornet import instances, verifier
 from sectornet.geometry import EPS, Point
 from sectornet.orient180 import orient_all_180
 from sectornet.orient90 import orient_all_90
@@ -203,6 +203,23 @@ class TestComponentsOnTheGridRoute:
                 assert g.matrix is None
                 expected = sorted(sorted(c) for c in mutual_reach_components(len(pts), g.out_edges))
                 assert partition(component_labels(g)) == expected
+
+
+def test_blob_matrix_route_peak_memory():
+    # n = 1000 in a 6 x 6 box at r = 7: every pair is within r, so the graph
+    # is the n x n matrix (1 MB); its rows are filled 64 apexes at a time, and
+    # no n x n float or complex array exists (one would be 8 or 16 MB)
+    pts = instances.random_connected_udg(1000, 1, 6.0)
+    a = orient_all_90(pts)
+    build_comm_graph(pts, a)
+    tracemalloc.start()
+    try:
+        g = build_comm_graph(pts, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.matrix is not None and a.guaranteed_radius == 7.0
+    assert peak < 8 * 2**20
 
 
 def test_lattice_peak_memory_is_linear_in_nodes_and_edges():

@@ -37,7 +37,7 @@ def show(name, pts):
     path = OUT / f"fourpoint_{name}.svg"
     path.write_text(render_scene(
         pts, assignment=a, radius=0.45 * res.dmax,
-        comm_edges=[(x, y) for x in graph.out_edges for y in graph.out_edges[x]],
+        comm_edges=list(zip(*(ids.tolist() for ids in graph.edges))),
     ))
     print(f"  figure: {path}")
 

@@ -44,8 +44,8 @@ assignment = orient_all_180(points)
 print(f"aperture: 180 degrees, guaranteed radius {assignment.guaranteed_radius:.6f}")
 
 graph = build_comm_graph(points, assignment, r_override=RADIUS_180)
-edges = sum(len(v) for v in graph.out_edges.values())
-print(f"communication graph at r=1+sqrt(3): {edges} edges, "
+src, dst = (ids.tolist() for ids in graph.edges)
+print(f"communication graph at r=1+sqrt(3): {len(src)} edges, "
       f"strongly connected: {strongly_connected(graph)}")
 
 achieved = min_strong_radius(points, assignment)
@@ -59,7 +59,7 @@ svg_path.write_text(
         tree_edges=tree.edges(),
         assignment=assignment,
         radius=1.0,  # draw compact wedges; the guarantee holds at 1+sqrt(3)
-        comm_edges=[(a, b) for a in graph.out_edges for b in graph.out_edges[a]],
+        comm_edges=list(zip(src, dst)),
     )
 )
 print(f"figure written to {svg_path}")

@@ -3,11 +3,15 @@
 ``point_set`` is the input rule of every entry that takes a point set (ids
 exactly 0..n-1, finite coordinates). The graph layers read one list: the pairs
 within unit distance, sorted by (distance, smaller id, larger id). That strict
-order makes the MST unique; Boruvka rounds find it. Any degree-6 vertex (only
+order makes the MST unique; Boruvka rounds over growing chunks of the list find
+it, each chunk rid of its pairs inside one component, and stop once it spans,
+so a dense input runs its rounds over few pairs. Any degree-6 vertex (only
 possible under exact 60-degree ties) is repaired by swapping one incident edge
 for an equal-length pair, so the tree keeps minimum total length with maximum
 degree five. The grid that finds the pairs, ``grid_pairs``, takes any
-power-of-two cell, and the verifier's radius probes use it too.
+power-of-two cell, also one smaller than the reach: the unit pairs come from
+half-unit cells, which offer fewer candidates on dense inputs, and the
+verifier's radius probes take cells no smaller than their radius.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .geometry import EPS, Point, ccw_angle_between, direction
 
 MAX_TREE_DEGREE = 5
 Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# Pairs per point in the first chunk of ``_spanning_forest``.
+_FIRST_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -100,44 +106,54 @@ def grid_pairs(
     """Ids a and b and distance d of every pair within ``reach``, each pair once
     in no set order; None when the grid offers more than ``most`` candidates.
 
-    Grid cells are ``cell`` wide, a power of two no smaller than ``reach``, so
-    scaling and flooring is exact at any offset and such a pair lies in one
-    cell or two adjacent ones; the coordinates must be finite. A cell's
+    Grid cells are ``cell`` wide, a power of two, so scaling and flooring is
+    exact at any offset and such a pair lies at most m = ceil(reach / cell)
+    columns and rows apart; the coordinates must be finite. A cell's
     coordinate pair viewed as complex sorts by column, then row; clipping to
-    2**52 keeps the +-1 steps exact and only adds candidates. In that order a
-    point meets two runs: the later points of its cell and the cell above; the
-    three cells to its right.
+    2**52 keeps the +-m steps exact and only adds candidates. In that order a
+    point meets m + 1 runs: the later points of its own column up to m rows
+    above, then each of the m columns to its right from m rows below to m
+    rows above. With a cell no smaller than the reach, m = 1: the point's
+    cell and the one above, and the three cells to its right.
     """
     n = len(coords)
-    key = np.clip(np.floor(coords * (1.0 / cell)), -(2.0**52), 2.0**52).view(complex)[:, 0]
+    m = math.ceil(reach / cell)
+    key = np.minimum(np.maximum(np.floor(coords * (1.0 / cell)), -(2.0**52)), 2.0**52)
+    key = key.view(complex)[:, 0]
     order = np.argsort(key)
     key = key[order]
-    lo = np.searchsorted(key, key[:, None] + np.array([0, 1 - 1j]))
+    # Rows are integers, so a run through row r ends where row r + 1 begins
+    # and one left-side search finds every start and end; each of its 2(m + 1)
+    # rows of queries is sorted, which the search runs faster on.
+    step = np.arange(m + 1.0) + np.array([[-m * 1j], [(m + 1) * 1j]])
+    lo, hi = np.searchsorted(key, key + step[..., None]).transpose(0, 2, 1)
     lo[:, 0] = np.arange(1, n + 1)
-    count = (np.searchsorted(key, key[:, None] + np.array([1j, 1 + 1j]), "right") - lo).ravel()
+    count = (hi - lo).ravel()
     total = int(count.sum())
     if total > most:
         return None
     x, y = coords[order].T
-    a = np.arange(n).repeat(2).repeat(count)
+    a = np.arange(n).repeat(m + 1).repeat(count)
     b = np.arange(total) + (lo.ravel() - count.cumsum() + count).repeat(count)
     dx, dy = x[a] - x[b], y[a] - y[b]
     # a cheap superset: the relative slack covers the rounding of both forms
     near = (dx * dx + dy * dy <= reach * reach * (1.0 + 1e-12)).nonzero()[0]
     d = np.hypot(dx[near], dy[near])
-    near = near[d <= reach]
-    return order[a[near]], order[b[near]], d[d <= reach]
+    within = d <= reach
+    near = near[within]
+    return order[a[near]], order[b[near]], d[within]
 
 
 def _udg_pairs(coords: np.ndarray) -> Pairs:
     """Ids i < j and distance d of every pair within 1 + EPS, sorted by (d, i, j)."""
     n = len(coords)
-    a, b, d = grid_pairs(coords, 2.0, 1.0 + EPS)
+    a, b, d = grid_pairs(coords, 0.5, 1.0 + EPS)
     i, j = np.minimum(a, b), np.maximum(a, b)
     ranked = d.argsort()
-    if (d[ranked[1:]] == d[ranked[:-1]]).any():  # tied distances: rank by (d, i, j)
+    ds = d[ranked]
+    if (ds[1:] == ds[:-1]).any():  # tied distances: rank by (d, i, j)
         ranked = np.argsort(d + (i * n + j) * 1j)  # exact while n * n < 2**53
-    return i[ranked], j[ranked], d[ranked]
+    return i[ranked], j[ranked], ds
 
 
 def _distinct_points(points: Sequence[Point]) -> Tuple[PointSet, Pairs]:
@@ -169,32 +185,44 @@ def is_connected(g: Udg) -> bool:
 def _spanning_forest(n: int, i: np.ndarray, j: np.ndarray) -> List[Tuple[int, int]]:
     """Minimum spanning forest of the pairs (i[k], j[k]), pair k ranked k-th.
 
-    Boruvka rounds: every component hooks onto the component across its first
-    outgoing pair. Under a strict order those pairs belong to the one minimum
-    forest, and two components hook onto each other only through one pair.
+    The pairs are read in chunks of rank order, the first of ``_FIRST_CHUNK``
+    pairs per point and each later one four times larger, until the forest
+    spans. A chunk is relabelled by the components found so far, its pairs
+    inside one component are dropped, and Boruvka rounds join the components
+    across the rest: every component hooks onto the component across its
+    first outgoing pair. Under a strict order those pairs belong to the one
+    minimum forest, and two components hook onto each other only through one
+    pair. The result is exact because Kruskal's choices on a prefix of the
+    order depend on that prefix alone, and a sparse input reads one chunk.
     """
     comp = ids = np.arange(n)
-    ci, cj = i, j
     forest: List[Tuple[int, int]] = []
-    while len(forest) < n - 1 and len(i):
-        first = np.full(n, len(i))
-        rank = np.arange(len(i))
-        np.minimum.at(first, ci, rank)
-        np.minimum.at(first, cj, rank)
-        c = (first < len(i)).nonzero()[0]
-        k = first[c]
-        hook = ids.copy()
-        hook[c] = ci[k] + cj[k] - c
-        mutual = (hook[hook] == ids) & (ids < hook)
-        hook[mutual] = ids[mutual]
-        k = k[hook[c] != c]  # a mutual pair once, from its larger side
-        forest.extend(zip(i[k].tolist(), j[k].tolist()))
-        while (hook[hook] != hook).any():
-            hook = hook[hook]
-        comp = hook[comp]
-        ci, cj = comp[i], comp[j]
-        between = ci != cj
-        i, j, ci, cj = i[between], j[between], ci[between], cj[between]
+    start, size = 0, _FIRST_CHUNK * n
+    while len(forest) < n - 1 and start < len(i):
+        pi, pj = ci, cj = i[start : start + size], j[start : start + size]
+        start, size = start + size, 4 * size
+        while True:
+            if forest:  # else comp is still the identity and no pair lies inside one
+                ci, cj = comp[pi], comp[pj]
+                between = ci != cj
+                pi, pj, ci, cj = pi[between], pj[between], ci[between], cj[between]
+            if len(forest) == n - 1 or not len(pi):
+                break
+            first = np.full(n, len(pi))
+            rank = np.arange(len(pi))
+            np.minimum.at(first, ci, rank)
+            np.minimum.at(first, cj, rank)
+            c = (first < len(pi)).nonzero()[0]
+            k = first[c]
+            hook = ids.copy()
+            hook[c] = ci[k] + cj[k] - c
+            mutual = (hook[hook] == ids) & (ids < hook)
+            hook[mutual] = ids[mutual]
+            k = k[hook[c] != c]  # a mutual pair once, from its larger side
+            forest.extend(zip(pi[k].tolist(), pj[k].tolist()))
+            while (hook[hook] != hook).any():
+                hook = hook[hook]
+            comp = hook[comp]
     return forest
 
 
@@ -271,15 +299,16 @@ def bounded_degree_mst(points: Sequence[Point]) -> RootedTree:
         adj[b].add(a)
     _repair_degree(adj, pairs)
 
-    root = min(range(n), key=lambda i: (-pts[i].y, i))
+    root = int(pts.coords[:, 1].argmax())  # the first highest: the smallest id
     parent = {root: root}
     children: Dict[int, List[int]] = {i: [] for i in range(n)}
     queue = deque([root])
     while queue:
         v = queue.popleft()
         kids = [w for w in adj[v] if w not in parent]
-        ref = 0.0 if v == root else direction(pts[v], pts[parent[v]])
-        kids.sort(key=lambda w: (ccw_angle_between(ref, direction(pts[v], pts[w])), w))
+        if len(kids) > 1:
+            ref = 0.0 if v == root else direction(pts[v], pts[parent[v]])
+            kids.sort(key=lambda w: (ccw_angle_between(ref, direction(pts[v], pts[w])), w))
         for w in kids:
             parent[w] = v
             children[v].append(w)

@@ -3,18 +3,20 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes. Eight are reference implementations kept for differential
+coverage probes. Ten are reference implementations kept for differential
 tests: the binary search for the minimum strong radius, the quadratic
 random-UDG generator, the two quadratic tree groupings that walk the whole
 residual tree again after every removal, the per-point coverage-mask loop
 over ``math.hypot`` and ``angle_diff``, the closed-wedge rule that folds
 angle differences with ``np.mod``, the dense degree-5 spanning tree
 (an n x n distance matrix, tie-broken Prim and a degree repair that scans
-every node pair), and the brute force over every distinct coverage mask of
-a nudged bisector grid. The same binary search over ``feasible_by_bruteforce``
-gives the exact optimum radius over all orientations, and
-``mutual_reach_components`` groups the BFS reachability into strongly
-connected components.
+every node pair), the brute force over every distinct coverage mask of
+a nudged bisector grid, the one-pass Boruvka spanning forest that reads
+every pair in its first round, and the candidate count of the grid stencil
+that cells no smaller than the reach use. The same binary search over
+``feasible_by_bruteforce`` gives the exact optimum radius over all
+orientations, and ``mutual_reach_components`` groups the BFS reachability
+into strongly connected components.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -346,6 +348,48 @@ def all_masks_feasible(
                 alpha=alpha, theta=theta, guaranteed_radius=r
             )
     return False, None
+
+
+def one_pass_spanning_forest(n: int, i: np.ndarray, j: np.ndarray) -> List[Tuple[int, int]]:
+    """Reference for ``topology._spanning_forest``: minimum spanning forest of
+    the pairs (i[k], j[k]), pair k ranked k-th, by Boruvka rounds over every
+    pair at once. Every component hooks onto the component across its first
+    outgoing pair; two components hook onto each other only through one pair."""
+    comp = ids = np.arange(n)
+    ci, cj = i, j
+    forest: List[Tuple[int, int]] = []
+    while len(forest) < n - 1 and len(i):
+        first = np.full(n, len(i))
+        rank = np.arange(len(i))
+        np.minimum.at(first, ci, rank)
+        np.minimum.at(first, cj, rank)
+        c = (first < len(i)).nonzero()[0]
+        k = first[c]
+        hook = ids.copy()
+        hook[c] = ci[k] + cj[k] - c
+        mutual = (hook[hook] == ids) & (ids < hook)
+        hook[mutual] = ids[mutual]
+        k = k[hook[c] != c]  # a mutual pair once, from its larger side
+        forest.extend(zip(i[k].tolist(), j[k].tolist()))
+        while (hook[hook] != hook).any():
+            hook = hook[hook]
+        comp = hook[comp]
+        ci, cj = comp[i], comp[j]
+        between = ci != cj
+        i, j, ci, cj = i[between], j[between], ci[between], cj[between]
+    return forest
+
+
+def stencil_candidate_count(coords: np.ndarray, cell: float) -> int:
+    """Candidates of the grid stencil for cells no smaller than the reach: each
+    pair within one cell once, and every point against the cell above its own
+    and the three cells to its right. Counted over a dictionary of cells."""
+    cells = Counter((math.floor(x / cell), math.floor(y / cell)) for x, y in coords.tolist())
+    return sum(
+        k * (k - 1) // 2
+        + k * (cells[col, row + 1] + cells[col + 1, row - 1] + cells[col + 1, row] + cells[col + 1, row + 1])
+        for (col, row), k in cells.items()
+    )
 
 
 def quadratic_random_connected_udg(n: int, seed: int, box: float) -> List[Point]:

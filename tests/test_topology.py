@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from oracles import (
     dense_bounded_degree_mst,
+    one_pass_spanning_forest,
     prim_mst_length,
     pruefer_min_spanning_length,
+    stencil_candidate_count,
     tree_edges_cross,
 )
+from sectornet import topology
 from sectornet.errors import DisconnectedInput, DuplicatePoint, TooFewPoints
 from sectornet.geometry import Point
 from sectornet.instances import random_connected_udg
 from sectornet.topology import (
+    as_coords,
     bounded_degree_mst,
     build_udg,
     grid_pairs,
@@ -228,10 +232,92 @@ class TestAgainstDenseReference:
         assert peak < 32 * 2**20
 
 
-@pytest.mark.parametrize("cell, reach", [(0.5, 0.5), (1.0, 1.0), (2.0, 1.0 + 1e-9), (4.0, 4.0), (64.0, 64.0)])
+def patch(k, spacing, ox=0.0, oy=0.0):
+    """k x k square lattice with the given spacing, its corner at (ox, oy)."""
+    return [(ox + spacing * a, oy + spacing * b) for b in range(k) for a in range(k)]
+
+
+def forest_cases():
+    """(label, n, i, j): pairs in rank order for ``_spanning_forest``."""
+    rng = np.random.default_rng(5)
+    # a dense blob with a unit-step chain hung off its rightmost point: the
+    # chain's pairs rank last, so the forest reads several chunks
+    blob = as_coords(random_connected_udg(400, 3, 2.0))
+    chain = blob[blob[:, 0].argmax()] + np.outer(np.arange(1, 41), [0.999, 0.0])
+    coords = np.concatenate([blob, chain])
+    i, j, _ = topology._udg_pairs(coords)
+    yield "blob with a chain", len(coords), i, j
+    shuffled = rng.permutation(len(i))
+    yield "blob with a chain, pairs in random order", len(coords), i[shuffled], j[shuffled]
+    # exact lattices at integer offsets: runs of equal distances. Beside an
+    # 8 x 8 patch at spacing 1/8, a 15 x 15 unit lattice joins only through the
+    # last run, of unit pairs, and the first chunk ends inside that run.
+    for offset in (0, 123_456_789, -10**9, 10**9):
+        for label, coords in (
+            ("square 12 x 12", patch(12, 1.0, offset, -offset)),
+            ("square 12 x 12 at spacing 1/4", patch(12, 0.25, offset, offset)),
+            ("patch beside a unit lattice", patch(8, 0.125, offset, offset) + patch(15, 1.0, offset + 1.875, offset)),
+            ("hex 12 x 12", [(offset + x + 0.5 * (round(y) % 2), -offset + y * math.sqrt(3) / 2) for x, y in patch(12, 1.0)]),
+            ("patch beside a hex lattice", patch(8, 0.125, offset, offset) + [
+                (offset + 1.875 + x + 0.5 * (round(y) % 2), offset + y * math.sqrt(3) / 2) for x, y in patch(10, 1.0)
+            ]),
+        ):
+            i, j, _ = topology._udg_pairs(np.array(coords, dtype=float))
+            yield f"{label} at offset {offset}", len(coords), i, j
+    # disconnected: the forest has fewer than n - 1 edges and reads every chunk
+    two_blobs = np.concatenate([blob, blob + [5.0, 0.0], [[20.0, 20.0]]])
+    i, j, _ = topology._udg_pairs(two_blobs)
+    yield "two blobs and a lone point", len(two_blobs), i, j
+    gapped = np.array(patch(8, 0.125) + patch(6, 1.0, 3.0, 0.0), dtype=float)
+    i, j, _ = topology._udg_pairs(gapped)
+    yield "patch and a lattice apart", len(gapped), i, j
+    # n <= 3
+    none = np.zeros(0, dtype=np.intp)
+    yield "no points", 0, none, none
+    yield "one point", 1, none, none
+    yield "two points apart", 2, none, none
+    yield "two points", 2, np.array([0]), np.array([1])
+    yield "three points, two pairs", 3, np.array([1, 0]), np.array([2, 1])
+    yield "equilateral triangle", 3, np.array([0, 0, 1]), np.array([1, 2, 2])
+
+
+class TestChunkedForest:
+    @pytest.mark.parametrize("first_chunk", [1, 3, topology._FIRST_CHUNK])
+    def test_equals_the_one_pass_forest(self, monkeypatch, first_chunk):
+        monkeypatch.setattr(topology, "_FIRST_CHUNK", first_chunk)
+        for label, n, i, j in forest_cases():
+            got = topology._spanning_forest(n, i, j)
+            assert sorted(got) == sorted(one_pass_spanning_forest(n, i, j)), label
+            assert len(set(got)) == len(got), label
+
+    def test_cases_read_several_chunks_and_split_a_run(self):
+        cases = {label: (n, i, j) for label, n, i, j in forest_cases()}
+        n, i, j = cases["blob with a chain"]
+        rank = {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}
+        last = max(rank[pair] for pair in one_pass_spanning_forest(n, i, j))
+        assert last >= 5 * topology._FIRST_CHUNK * n  # beyond the first two chunks
+        coords = np.array(patch(8, 0.125) + patch(15, 1.0, 1.875, 0.0), dtype=float)
+        d = topology._udg_pairs(coords)[2]
+        assert d[-1] == 1.0 and (d < 1.0).sum() < topology._FIRST_CHUNK * len(coords) < len(d)
+
+
+@pytest.mark.parametrize(
+    "cell, reach",
+    [
+        (0.5, 0.5),
+        (1.0, 1.0),
+        (2.0, 1.0 + 1e-9),
+        (4.0, 4.0),
+        (64.0, 64.0),
+        (0.25, 1.0 + 1e-9),
+        (0.5, 1.0 + 1e-9),
+        (1.0, 1.0 + math.sqrt(3) + 1e-9),
+        (2.0, 7.0 + 1e-9),
+    ],
+)
 def test_grid_pairs_are_every_pair_within_reach(cell, reach):
     # 50 points sit the reach to the right of 50 others: with the reach as
-    # wide as a cell, those are the pairs the grid must not drop
+    # wide as a cell, or as m cells, those are the pairs the grid must not drop
     rng = np.random.default_rng(int(cell * 4))
     ticks = rng.integers(0, 40 * 1024, size=(400, 2)).astype(float)
     ticks[:50] = ticks[50:100] + [[reach * 1024, 0]]
@@ -245,6 +331,25 @@ def test_grid_pairs_are_every_pair_within_reach(cell, reach):
         assert got == dict(zip(zip(i[near].tolist(), j[near].tolist()), dist[near].tolist()))
         assert len(a) == len(got)  # each pair once
         assert grid_pairs(coords, cell, reach, most=len(got) - 1) is None
+
+
+@pytest.mark.parametrize("reach", [0.3, 1.0, 1.0 + 1e-9, 1.0 + math.sqrt(3), 2.0, 7.0, 7.0 + 1e-9])
+def test_grid_offers_the_one_cell_stencil_count(reach):
+    # cells of the smallest power of two >= reach, as the verifier's probes
+    # take them: the candidate count, and so where those probes hand over to
+    # the matrix, is that of the stencil of one cell and its four neighbours
+    cell = 2.0 ** math.ceil(math.log2(reach))
+    rng = random.Random(int(reach * 100))
+    for pts in (
+        random_connected_udg(300, rng.randrange(10**6), 6.0),
+        random_connected_udg(200, rng.randrange(10**6), 14.0),
+        jittered_lattice(15, rng.randrange(10**6)),
+        [P(v, 1e9 + (v % 9) * 0.5, -1e9 + (v // 9) * 0.5) for v in range(81)],
+    ):
+        coords = as_coords(pts)
+        count = stencil_candidate_count(coords, cell)
+        assert grid_pairs(coords, cell, reach, most=count) is not None
+        assert grid_pairs(coords, cell, reach, most=count - 1) is None
 
 
 # coordinates in 1024ths of a unit, up to 3; quarter steps make exact unit distances and ties common

@@ -25,10 +25,14 @@ reachability sweeps over the wedge-restricted distances. On inputs whose
 pairs spread out, a probe at R = 1, 2, 4, ... runs both sweeps on the pairs
 within R alone, found on the same grid, and builds no n x n array; the first
 probe whose sweeps reach every node gives the exact result. Dense inputs,
-small ones and those no probe decides take the n x n distances and weights,
-filled in row blocks as in ``build_comm_graph``. The certificate, the probes
-and the grid route of ``build_comm_graph`` get their edges from one builder,
-``_wedge_edges``, which tests both directions of a pair list.
+small ones and those no probe decides take the n x n weights, filled in row
+blocks as in ``build_comm_graph``. From _BAND_MIN_N points on the weights
+are np.abs distances, within a relative _TOL of np.hypot; np.hypot then runs
+only on the thin band of pairs around the fast level that can be the exact
+level or the result (``_exact_band``), so the result is the float np.hypot
+weights give. The certificate, the probes and the grid route of
+``build_comm_graph`` get their edges from one builder, ``_wedge_edges``,
+which tests both directions of a pair list.
 
 The brute force decides feasibility for up to BRUTE_FORCE_MAX points from
 each point's maximal coverage patterns, each with its clockwise wedge boundary
@@ -61,6 +65,12 @@ SPARSE_MIN_N = 32
 _BLOCK = 64
 # Fewest differences for which np.abs and its band check beat np.hypot.
 _BAND_MIN = 128
+# Fewest points for which the matrix route of min_strong_radius takes np.abs
+# weights and an exact band rather than np.hypot weights.
+_BAND_MIN_N = 32
+# Relative band of the two np.abs users: np.abs of a complex difference is
+# within _TOL of np.hypot (a test holds it to 4 ulp, about 9e-16).
+_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,15 +217,22 @@ def build_comm_graph(
     return CommGraph(n, adj)
 
 
+def _abs(d: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|d| for complex d by np.abs: several times faster than np.hypot, and
+    within a relative _TOL of it. The bands of ``_within`` and of the matrix
+    route of ``min_strong_radius`` rely on that bound alone."""
+    return np.abs(d, out=out)
+
+
 def _within(d: np.ndarray, reach: float) -> np.ndarray:
-    """|d| <= reach for complex d, exactly as np.hypot decides it. np.abs is
-    within 2 ulp of np.hypot and several times faster: it decides every d
-    outside the band within a relative 1e-12 of reach, and np.hypot the band.
-    Below _BAND_MIN entries np.hypot alone costs less than that check."""
+    """|d| <= reach for complex d, exactly as np.hypot decides it: ``_abs``
+    decides every d outside the band within a relative _TOL of reach, and
+    np.hypot the band. Below _BAND_MIN entries np.hypot alone costs less than
+    that check."""
     if d.size < _BAND_MIN:
         return np.hypot(d.real, d.imag) <= reach
-    tol = 1e-12 * abs(reach)
-    near = np.abs(d)
+    tol = _TOL * abs(reach)
+    near = _abs(d)
     within = near <= reach + tol
     inner = near <= reach - tol
     if np.count_nonzero(within) != np.count_nonzero(inner):
@@ -476,6 +493,61 @@ def _edges_bottleneck_level(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray)
     return max(level, _csr_bottleneck_level(n, b, a, w))
 
 
+def _sweeps(w: np.ndarray) -> float:
+    """The larger bottleneck level from node 0 on w and on w transposed: the
+    smallest t at which the edges of weight <= t connect the nodes strongly."""
+    return max(_bottleneck_level(w), _bottleneck_level(w.T))
+
+
+def _fast_weights(z: np.ndarray, turn: np.ndarray, alpha: float) -> np.ndarray:
+    """W[a, b] = ``_abs`` of z[b] - z[a] when b is in a's wedge, inf elsewhere
+    and on the diagonal, filled _BLOCK apex rows at a time."""
+    n = len(z)
+    w = np.empty((n, n))
+    for lo in range(0, n, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        d = z - z[rows, None]
+        block = _abs(d, out=w[rows])
+        block[~_wedge_rule(d, turn[rows, None], alpha)] = np.inf
+    np.fill_diagonal(w, np.inf)
+    return w
+
+
+def _exact_band(z: np.ndarray, w: np.ndarray, b: float) -> Tuple[float, np.ndarray]:
+    """The exact level B and the np.hypot distances of the pairs that can be
+    the result, from the level b of the fast weights w (``_fast_weights``).
+
+    Each fast distance lies within a relative _TOL of its np.hypot distance.
+    So b lies within _TOL B of B; B is the exact distance of a wedge edge
+    whose fast weight lies within 3 _TOL b of b; and the result, a distance
+    in [B - EPS, B], has a fast distance of at least
+    (b - EPS)(1 - _TOL) - _TOL b. The band is the pairs whose fast distance
+    lies between that and b(1 + 3 _TOL), found _BLOCK rows at a time. If its
+    wedge edges share one exact distance, that is B. Otherwise both sweeps
+    run again on w with those edges set to their exact distances: every
+    weight outside the band lies on the same side of B as its exact
+    distance, so the threshold graphs near B are the exact ones and the
+    rerun's level is B."""
+    lo, hi = (b - EPS) * (1 - _TOL) - _TOL * b, b * (1 + 3 * _TOL)
+    n = len(z)
+    pairs = []
+    for top in range(0, n, _BLOCK):
+        near = _abs(z - z[top : top + _BLOCK, None])
+        i, j = np.nonzero((near >= lo) & (near <= hi))
+        pairs.append((i + top, j))
+    i, j = (np.concatenate(c) for c in zip(*pairs))
+    off = i != j
+    i, j = i[off], j[off]
+    d = z[j] - z[i]
+    dist = np.hypot(d.real, d.imag)
+    edge = w[i, j] < np.inf
+    level = dist[edge]
+    if level.min() == level.max():
+        return float(level[0]), dist
+    w[i[edge], j[edge]] = level
+    return _sweeps(w), dist
+
+
 def min_strong_radius(
     points: Sequence[Point], assignment: OrientationAssignment
 ) -> Optional[float]:
@@ -495,7 +567,9 @@ def min_strong_radius(
     pairs, so B and c are exact. A probe whose grid offers more than a quarter
     of the n(n-1)/2 pairs as candidates, or whose R covers the bounding box,
     hands over to the n x n matrix; so does a smaller input, and the matrix is
-    also what finds None.
+    also what finds None. From _BAND_MIN_N points on, the matrix holds the
+    ``_fast_weights`` alone, and np.hypot runs only on the few pairs of
+    ``_exact_band``; smaller matrices take np.hypot distances throughout.
     """
     coords, turn = _id_arrays(points, assignment)
     n = len(coords)
@@ -514,21 +588,19 @@ def min_strong_radius(
                 return float(d[d + EPS >= level].min())
             r *= 2.0
     z = _complex(coords)
-    dist = np.empty((n, n))
-    inside = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        d = z - z[rows, None]
-        np.hypot(d.real, d.imag, out=dist[rows])
-        inside[rows] = _wedge_rule(d, turn[rows, None], assignment.alpha)
-    np.fill_diagonal(dist, np.inf)
-    w = np.where(inside, dist, np.inf)
-    del inside
-    b = max(_bottleneck_level(w), _bottleneck_level(w.T))
-    if b == np.inf:
+    if n < _BAND_MIN_N:
+        d = z - z[:, None]
+        dist = np.hypot(d.real, d.imag)
+        np.fill_diagonal(dist, np.inf)
+        level = _sweeps(np.where(_wedge_rule(d, turn[:, None], assignment.alpha), dist, np.inf))
+    else:
+        w = _fast_weights(z, turn, assignment.alpha)
+        level = _sweeps(w)
+        if level < np.inf:
+            level, dist = _exact_band(z, w, level)
+    if level == np.inf:
         return None
-    np.add(dist, EPS, out=w)  # the sweeps are done with w
-    return float(dist.min(where=w >= b, initial=np.inf))
+    return float(dist.min(where=dist + EPS >= level, initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths wherever they check
 one: plain Prim on the complete distance matrix, exhaustive spanning-tree
 enumeration via Pruefer sequences, n x BFS reachability, and random-sampling
-coverage probes. Ten are reference implementations kept for differential
-tests: the binary search for the minimum strong radius, the quadratic
+coverage probes. Eleven are reference implementations kept for differential
+tests: the binary search for the minimum strong radius, the minimum strong
+radius from n x n ``np.hypot`` distances and weights, the quadratic
 random-UDG generator, the two quadratic tree groupings that walk the whole
 residual tree again after every removal, the per-point coverage-mask loop
 over ``math.hypot`` and ``angle_diff``, the closed-wedge rule that folds
@@ -43,8 +44,13 @@ from sectornet.topology import (
     point_set,
 )
 from sectornet.verifier import (
+    _BLOCK,
+    _bottleneck_level,
+    _complex,
     _coverage_masks,
+    _id_arrays,
     _masks_strongly_connected,
+    _wedge_rule,
     feasible_by_bruteforce,
     is_strongly_connected_at,
 )
@@ -285,6 +291,35 @@ def binary_search_min_strong_radius(
 ) -> Optional[float]:
     """Smallest pairwise distance r with ``is_strongly_connected_at(r)``."""
     return _smallest_distance(points, lambda r: is_strongly_connected_at(points, assignment, r))
+
+
+def hypot_min_strong_radius(
+    points: Sequence[Point], assignment: OrientationAssignment
+) -> Optional[float]:
+    """``min_strong_radius`` from n x n ``np.hypot`` distances and weights at
+    every n, with no probe: the larger bottleneck level B of the wedge
+    weights and their transpose, then the smallest distance c with
+    c + EPS >= B over all pairs. The matrix is filled in row blocks."""
+    coords, turn = _id_arrays(points, assignment)
+    n = len(coords)
+    if n <= 1:
+        return 0.0
+    z = _complex(coords)
+    dist = np.empty((n, n))
+    inside = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        d = z - z[rows, None]
+        np.hypot(d.real, d.imag, out=dist[rows])
+        inside[rows] = _wedge_rule(d, turn[rows, None], assignment.alpha)
+    np.fill_diagonal(dist, np.inf)
+    w = np.where(inside, dist, np.inf)
+    del inside
+    b = max(_bottleneck_level(w), _bottleneck_level(w.T))
+    if b == np.inf:
+        return None
+    np.add(dist, EPS, out=w)  # the sweeps are done with w
+    return float(dist.min(where=w >= b, initial=np.inf))
 
 
 def exact_min_radius(points: Sequence[Point], alpha: float) -> Optional[float]:

@@ -13,13 +13,14 @@ from oracles import (
     bfs_strongly_connected,
     binary_search_min_strong_radius,
     exact_min_radius,
+    hypot_min_strong_radius,
     mutual_reach_components,
     sampled_uncovered_point,
 )
 from sectornet import verifier
 from sectornet.errors import MissingOrientation, TooManyPoints
 from sectornet.fileio import read_points
-from sectornet.geometry import Point, Wedge
+from sectornet.geometry import EPS, Point, Wedge
 from sectornet.instances import collinear_witness, random_connected_udg
 from sectornet.orient180 import orient_all_180, plan_groups_180
 from sectornet.orient90 import orient_all_90, orient_small
@@ -553,6 +554,181 @@ class TestSparseRouteMatchesBinarySearch:
                 tracemalloc.stop()
             assert r <= a.guaranteed_radius
             assert peak < 32 * 2**20
+
+
+def swept(pts, a):
+    """min_strong_radius and how many bottleneck sweeps its matrix ran: none
+    when a probe decided, 2 for one forward and one backward sweep, 4 when
+    the exact band reran them."""
+    sweeps = 0
+    real = verifier._bottleneck_level
+
+    def count(w):
+        nonlocal sweeps
+        sweeps += 1
+        return real(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_bottleneck_level", count)
+        r = min_strong_radius(pts, a)
+    return r, sweeps
+
+
+def offset_lattice(k, spacing, offset):
+    """k x k square lattice at (offset, -offset): equal lattice distances
+    come out a few ulp of the coordinates apart."""
+    return [P(v, offset + spacing * (v % k), -offset + spacing * (v // k)) for v in range(k * k)]
+
+
+def skewed_abs(level, p):
+    """A stand-in for verifier._abs that is off by the relative p, up on the
+    distances at or below ``level`` and down on those above it."""
+
+    def skew(d, out=None):
+        exact = np.hypot(d.real, d.imag)
+        near = exact * np.where(exact <= level, 1.0 + p, 1.0 - p)
+        if out is None:
+            return near
+        out[...] = near
+        return out
+
+    return skew
+
+
+def two_columns():
+    """Two unit-spaced columns of eighth-spaced points facing each other at
+    180 degrees, with level B = 1: the pair at y = 0 is 1 apart and the pair
+    at y = 1/8 is 1 + 2**-43 apart. Column x = 0 also holds the points
+    (0, lo) and (0, hi), where hi is the smallest float with hi + EPS >= 1
+    and lo the float below it, so the result is hi and a level off B by more
+    than an ulp or two gives another float."""
+    hi = 1.0 - EPS
+    while hi + EPS < 1.0:
+        hi = np.nextafter(hi, 2.0)
+    while np.nextafter(hi, 0.0) + EPS >= 1.0:
+        hi = np.nextafter(hi, 0.0)
+    lo, hi = float(np.nextafter(hi, 0.0)), float(hi)
+    far = 1.0 + 2.0**-43
+    xy = [(0.0, 0.0), (0.0, lo), (0.0, hi)] + [(0.0, k / 8) for k in range(1, 16)]
+    xy += [(far if k == 1 else 1.0, k / 8) for k in range(16)]
+    pts = [P(v, x, y) for v, (x, y) in enumerate(xy)]
+    theta = {p.id: 0.0 if p.x == 0 else PI for p in pts}
+    return pts, OrientationAssignment(alpha=PI, theta=theta, guaranteed_radius=1.0), lo, hi
+
+
+class TestExactBand:
+    """From _BAND_MIN_N points on, the matrix route sweeps np.abs weights and
+    takes np.hypot on the band of ``_exact_band`` alone. Every result is the
+    float (or None) of the n x n np.hypot route it replaced, kept as
+    ``oracles.hypot_min_strong_radius``; ``swept`` pins the route each
+    instance takes."""
+
+    def same(self, pts, a):
+        r, sweeps = swept(pts, a)
+        assert len(pts) >= verifier._BAND_MIN_N and sweeps in (2, 4)
+        assert r == hypot_min_strong_radius(pts, a)
+        return r, sweeps
+
+    def test_abs_is_within_four_ulp_of_hypot(self):
+        # the premise of both bands: np.abs is within a relative _TOL
+        rng = np.random.default_rng(4)
+        size = 100_000
+        d = 10.0 ** rng.uniform(-300, 300, size) * np.exp(1j * rng.uniform(0, 2 * PI, size))
+        diffs = [d]
+        for offset in (0.0, 1.0, 1e3, 1e6, 1e9, -1e9):
+            z = verifier._complex(np.array([(offset + p.x, offset - p.y) for p in jittered_lattice(30, 1)]))
+            diffs.append((z - z[:, None]).ravel())
+        for d in diffs:
+            exact = np.hypot(d.real, d.imag)
+            assert (np.abs(verifier._abs(d) - exact) <= 4 * np.finfo(float).eps * exact).all()
+        assert 4 * np.finfo(float).eps < verifier._TOL
+
+    def test_matches_the_hypot_route(self):
+        runs = []
+        rng = random.Random(8)
+        for seed in range(4):
+            pts = random_connected_udg(32 + 30 * seed, seed, 2.0)
+            runs += [self.same(pts, orient_all_180(pts)), self.same(pts, orient_all_90(pts))]
+            theta = {p.id: rng.uniform(0, 2 * PI) for p in pts}
+            runs.append(self.same(pts, OrientationAssignment(alpha=PI, theta=theta, guaranteed_radius=1.0)))
+        for k, spacing, offset in ((6, 0.25, 0.0), (8, 0.125, 1e4), (7, 0.2, 1e6), (6, 0.3, 1e9)):
+            pts = offset_lattice(k, spacing, offset)
+            runs += [self.same(pts, orient_all_180(pts)), self.same(pts, orient_all_90(pts))]
+        # a row at spacing 0.1 is strong at 0.2; the last point moved in by
+        # 5e-10 puts the distance of the pair (37, 39) within EPS below it
+        row = [P(i, 0.1 * i, 0) for i in range(39)] + [P(39, 3.9 - 5e-10, 0)]
+        for alpha in (PI, PI / 2):
+            r, sweeps = self.same(row, facing_pairs(row, alpha))
+            assert r == row[39].x - row[37].x < 0.2 and sweeps == 4
+        assert any(r is None for r, _ in runs)
+        assert any(sweeps == 2 and r is not None for r, sweeps in runs)
+        assert any(sweeps == 4 for _, sweeps in runs)
+
+    def test_coincident_points(self):
+        # b = 0: every point on one spot, and the zero direction in each wedge
+        pts = [P(v, 0.5, -0.25) for v in range(40)]
+        a = OrientationAssignment(alpha=PI / 2, theta={v: 0.0 for v in range(40)}, guaranteed_radius=1.0)
+        assert self.same(pts, a) == (0.0, 2)
+        # 0 < b < EPS: the band reaches below 0, the result is the closest pair
+        cluster = [P(v, 1e-11 * v * v, 0.0) for v in range(40)]
+        a = OrientationAssignment(alpha=PI, theta={v: PI / 2 for v in range(40)}, guaranteed_radius=1.0)
+        r, _ = self.same(cluster, a)
+        assert r == cluster[1].x < EPS
+        # a spot shared by two points beside a dense blob
+        blob = random_connected_udg(60, 3, 2.0)
+        pts = blob + [P(60, blob[7].x, blob[7].y)]
+        built = orient_all_90(blob)
+        for turn in (0.0, PI / 4, PI / 2, PI):
+            theta = {**built.theta, 60: built.theta[7] + turn}
+            self.same(pts, OrientationAssignment(alpha=PI / 2, theta=theta, guaranteed_radius=7.0))
+
+    def test_none(self):
+        pts = random_connected_udg(50, 2, 2.0)
+        away = OrientationAssignment(alpha=PI / 2, theta={p.id: 0.0 for p in pts}, guaranteed_radius=1.0)
+        assert self.same(pts, away) == (None, 2)
+
+    def test_fast_distances_off_by_almost_tol(self):
+        # the band holds for any fast distance within _TOL of np.hypot: skew
+        # them by 0.9 _TOL, up to B and down above it, so that the fast level
+        # comes from the pair 1 + 2**-43 apart, 1.1e-13 above B
+        pts, a, lo, hi = two_columns()
+        assert lo + EPS < 1.0 <= hi + EPS < 1.0 + 2.0**-43
+        assert hypot_min_strong_radius(pts, a) == hi
+        graph = build_comm_graph(pts, a).adj
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "_abs", skewed_abs(1.0, 0.9 * verifier._TOL))
+            assert self.same(pts, a) == (hi, 4)
+            assert (build_comm_graph(pts, a).adj == graph).all()
+
+    def test_band_is_small(self):
+        # np.hypot runs on a few pairs, not on a matrix
+        sizes = []
+        real = verifier._exact_band
+
+        def sized(z, w, b):
+            level, dist = real(z, w, b)
+            sizes.append(len(dist))
+            return level, dist
+
+        pts = random_connected_udg(400, 5, 6.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "_exact_band", sized)
+            for a in (orient_all_180(pts), orient_all_90(pts)):
+                self.same(pts, a)
+        assert sizes and max(sizes) <= 8
+
+    def test_dense_blob_peak_memory(self):
+        # n = 1000: the fast weights are the one n x n array, 7.6 MiB
+        pts = random_connected_udg(1000, 1, 6.0)
+        for a in (orient_all_180(pts), orient_all_90(pts)):
+            tracemalloc.start()
+            try:
+                r, sweeps = swept(pts, a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sweeps == 2 and r <= a.guaranteed_radius
+            assert peak < 12 * 2**20
 
 
 BAD_INPUTS = [

@@ -22,7 +22,10 @@ The open step was that this half-plane exists. With n the normal of line
 p-c1 into c1's side, a missed x has (x - c2).n > 0 and p has (p - c2).n >= 0,
 since c2 is not on c1's side and p is on the line: the half-plane with
 bisector n holds them all. Only rounding, with c2 on the line, can hide
-that gap; then c2 keeps facing p, and the self-check decides.
+that gap; then c2 keeps facing p. The proof uses only pairs within two group
+edges (inside a group, to the group it hangs from and to those hung from
+it), the pairs ``verifier.certify_groups`` tests; so that certificate is the
+one self-check, and it raises if the output is left unproved.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ four or more nodes; in each subtree four representative nodes (always
 including the subtree root) are oriented by the four-point rule, and every
 other node simply aims at its closest representative. A leftover root
 remainder of at most three nodes aims at the root of the adjacent group.
+The argument uses only pairs within two group edges (the representatives,
+the parent group and the root remainder), the pairs ``certify_groups`` tests:
+that certificate is the one self-check.
 """
 
 from __future__ import annotations

@@ -12,27 +12,29 @@ pairs spread out it lists the pairs within the radius from the grid of
 edge arrays and no n x n array is built; dense inputs and small ones get the
 boolean n x n matrix, filled _BLOCK apex rows at a time so that no n x n
 float or complex temporary exists. A graph is strongly connected when node 0
-reaches every node forwards and backwards: on edge arrays a depth-first
-reach, ``_flood``, over compressed sparse rows (``_csr``) decides it; on the
-matrix one bitmask reach, ``_reach``, in which each node's out-neighbours
-form one Python int. ``component_labels`` (Kosaraju) runs on the sparse rows
-of either form. The constructions check themselves with ``certify_groups``,
-which tests only pairs of nodes in groups near each other in their group
-tree: the edges it keeps are edges of the communication graph, so a strongly
-connected certificate proves the whole graph strongly connected without
-building it. The minimum strong radius comes from two bottleneck (minimax)
-reachability sweeps over the wedge-restricted distances. On inputs whose
-pairs spread out, a probe at R = 1, 2, 4, ... runs both sweeps on the pairs
-within R alone, found on the same grid, and builds no n x n array; the first
-probe whose sweeps reach every node gives the exact result. Dense inputs,
-small ones and those no probe decides take the n x n weights, filled in row
-blocks as in ``build_comm_graph``. From _BAND_MIN_N points on the weights
+reaches every node forwards and backwards. One depth-first reach over
+compressed sparse rows (``_edges_strongly_connected``) decides every
+edge-list graph; the bitmask reach ``_reach``, one Python int of
+out-neighbours per node, serves only the matrix form, the brute force and
+the four-point masks. ``component_labels`` (Kosaraju) runs on the sparse
+rows of either form. The constructions' one self-check is
+``certify_groups``: both proofs use only pairs of nodes in groups at most
+two edges apart in the group tree, and it tests only those. Its edges are
+edges of the communication graph, so a strongly connected certificate
+proves the whole graph strongly connected without building it. The minimum
+strong radius comes from two bottleneck (minimax) reachability sweeps over
+the wedge-restricted distances. On inputs whose pairs spread out, a probe at
+R = 1, 2, 4, ... runs both sweeps on the pairs within R alone, found on the
+same grid, and builds no n x n array; the first probe whose sweeps reach
+every node gives the exact result. Dense inputs, small ones and those no
+probe decides take the n x n weights, filled in row blocks as in
+``build_comm_graph``. From _BAND_MIN_N points on the weights
 are np.abs distances, within a relative _TOL of np.hypot; np.hypot then runs
 only on the thin band of pairs around the fast level that can be the exact
 level or the result (``_exact_band``), so the result is the float np.hypot
 weights give. The certificate, the probes and the grid route of
 ``build_comm_graph`` get their edges from one builder, ``_wedge_edges``,
-which tests both directions of a pair list.
+which tests both directions of a pair list measured once.
 
 The brute force decides feasibility for up to BRUTE_FORCE_MAX points from
 each point's maximal coverage patterns, each with its clockwise wedge boundary
@@ -78,8 +80,8 @@ class CommGraph:
     """Directed communication graph on point ids 0..n-1, with an edge a -> b
     iff b lies in a's wedge. It holds either the boolean n x n matrix
     ``matrix`` (``CommGraph(n, matrix)``) or the edges src[k] -> dst[k], each
-    once in no set order (``CommGraph(n, src=..., dst=...)``); ``edges``,
-    ``adj`` and ``out_edges`` are views that serve both forms."""
+    once in no set order (``CommGraph(n, src=..., dst=...)``); ``edges`` and
+    ``out_edges`` are views that serve both forms."""
 
     n: int
     matrix: Optional[np.ndarray] = None
@@ -92,15 +94,6 @@ class CommGraph:
         if self.matrix is None:
             return self.src, self.dst
         return np.nonzero(self.matrix)
-
-    @functools.cached_property
-    def adj(self) -> np.ndarray:
-        """The boolean n x n matrix, built from the edges when not held."""
-        if self.matrix is not None:
-            return self.matrix
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        adj[self.edges] = True
-        return adj
 
     @functools.cached_property
     def out_edges(self) -> Dict[int, FrozenSet[int]]:
@@ -148,17 +141,15 @@ def _complex(coords: np.ndarray) -> np.ndarray:
 
 
 def _wedge_edges(
-    i: np.ndarray, j: np.ndarray, coords: np.ndarray, turn: np.ndarray, alpha: float
+    i: np.ndarray, j: np.ndarray, d: np.ndarray, coords: np.ndarray, turn: np.ndarray, alpha: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both directions of the pairs i[k], j[k] that are wedge edges, as ids a
-    -> b (b lies in a's wedge) with their distances: the edges i -> j first,
-    then j -> i, each in pair order."""
+    """Both directions of the pairs i[k], j[k] at distance d[k] that are wedge
+    edges, as ids a -> b (b lies in a's wedge) with their distances: the edges
+    i -> j first, then j -> i, each in pair order."""
     a, b = np.concatenate([i, j]), np.concatenate([j, i])
     z = _complex(coords)
-    d = z[b] - z[a]
-    inside = _wedge_rule(d, turn[a], alpha)
-    d = d[inside]
-    return a[inside], b[inside], np.hypot(d.real, d.imag)
+    inside = _wedge_rule(z[b] - z[a], turn[a], alpha)
+    return a[inside], b[inside], np.concatenate([d, d])[inside]
 
 
 def _diagonal(coords: np.ndarray) -> float:
@@ -178,7 +169,7 @@ def _grid_wedge_edges(
     if pairs is None:
         return None
     i, j, d = pairs
-    return (d, *_wedge_edges(i, j, coords, turn, alpha))
+    return (d, *_wedge_edges(i, j, d, coords, turn, alpha))
 
 
 def build_comm_graph(
@@ -203,9 +194,8 @@ def build_comm_graph(
     if n >= SPARSE_MIN_N and 0 < reach < _diagonal(coords):
         found = _grid_wedge_edges(coords, turn, assignment.alpha, reach, most=n * (n - 1) / 4)
         if found is not None:
-            _, a, b, dist = found
-            keep = dist <= reach
-            return CommGraph(n, src=a[keep], dst=b[keep])
+            _, a, b, _ = found
+            return CommGraph(n, src=a, dst=b)
     z = _complex(coords)
     adj = np.empty((n, n), dtype=bool)
     for lo in range(0, n, _BLOCK):
@@ -295,18 +285,23 @@ def _flood(start: List[int], heads: List[int], s: int, label: List[int], mark: i
     return count
 
 
-def strongly_connected(g: CommGraph) -> bool:
-    """Node 0 reaches every node and every node reaches node 0: one bitmask
-    reach each way on a matrix, one depth-first reach over compressed sparse
-    rows each way on edges."""
-    n = g.n
+def _edges_strongly_connected(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Node 0 reaches every node and every node reaches node 0 over the edges
+    src[k] -> dst[k] among nodes 0..n-1: one depth-first reach over
+    compressed sparse rows each way. The one reach of every edge-list graph."""
     if n <= 1:
         return True
-    if g.matrix is not None:
-        full = (1 << n) - 1
-        return _reach(_row_masks(g.matrix), 0) == full and _reach(_row_masks(g.matrix.T), 0) == full
-    src, dst = g.edges
     return all(_flood(*_csr(n, a, b), 0, [-1] * n, 0) == n for a, b in ((src, dst), (dst, src)))
+
+
+def strongly_connected(g: CommGraph) -> bool:
+    """Node 0 reaches every node and every node reaches node 0: one bitmask
+    reach each way on a matrix, ``_edges_strongly_connected`` on edges."""
+    n = g.n
+    if g.matrix is None or n <= 1:
+        return _edges_strongly_connected(n, *g.edges)
+    full = (1 << n) - 1
+    return _reach(_row_masks(g.matrix), 0) == full and _reach(_row_masks(g.matrix.T), 0) == full
 
 
 def component_labels(g: CommGraph) -> List[int]:
@@ -346,16 +341,6 @@ def component_labels(g: CommGraph) -> List[int]:
     return label
 
 
-def strong_components(g: CommGraph) -> List[int]:
-    """The strongly connected components of g, one bitmask of nodes each, in
-    the order ``component_labels`` numbers them."""
-    label = component_labels(g)
-    masks = [0] * (max(label, default=-1) + 1)
-    for v, c in enumerate(label):
-        masks[c] |= 1 << v
-    return masks
-
-
 def is_strongly_connected_at(
     points: Sequence[Point], assignment: OrientationAssignment, r: float
 ) -> bool:
@@ -366,20 +351,10 @@ def is_strongly_connected_at(
 Groups = Sequence[Tuple[Sequence[int], Optional[int]]]
 
 
-def _certificate_edges(
-    points: Sequence[Point], assignment: OrientationAssignment, groups: Groups
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The edges a -> b of ``build_comm_graph(points, assignment)`` whose ends
-    lie in groups at most two edges apart in the group tree, as id arrays.
-
-    ``groups`` gives each group's member ids and the id of the node it hangs
-    from (None at the top); a group's parent in the group tree is the group
-    holding that node. Each group is paired once with itself, its parent, its
-    grandparent and its earlier siblings, which covers every pair of groups
-    at most two edges apart exactly once.
-    """
-    coords, turn = _id_arrays(points, assignment)
-    group_of = [0] * len(coords)
+def _group_pairs(n: int, groups: Groups) -> Tuple[np.ndarray, np.ndarray]:
+    """Ids i[k], j[k] of every pair of nodes in groups at most two edges apart
+    in the group tree, each pair once (``_certificate_edges``)."""
+    group_of = [0] * n
     for g, (members, _) in enumerate(groups):
         for v in members:
             group_of[v] = g
@@ -398,41 +373,52 @@ def _certificate_edges(
             others = members[g][i + 1 :] + near
             src.extend([v] * len(others))
             dst.extend(others)
-    i, j = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-    a, b, dist = _wedge_edges(i, j, coords, turn, assignment.alpha)
-    keep = dist <= assignment.guaranteed_radius + EPS
-    return a[keep], b[keep]
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+
+
+def _certificate_edges(
+    points: Sequence[Point], assignment: OrientationAssignment, groups: Groups
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges a -> b of ``build_comm_graph(points, assignment)`` whose ends
+    lie in groups at most two edges apart in the group tree, as id arrays.
+
+    ``groups`` gives each group's member ids and the id of the node it hangs
+    from (None at the top); a group's parent in the group tree is the group
+    holding that node. Each group is paired once with itself, its parent, its
+    grandparent and its earlier siblings, which covers every pair of groups
+    at most two edges apart exactly once. Each pair is measured once, and
+    only those within the radius go to the wedge rule.
+    """
+    coords, turn = _id_arrays(points, assignment)
+    i, j = _group_pairs(len(coords), groups)
+    z = _complex(coords)
+    d = z[j] - z[i]
+    d = np.hypot(d.real, d.imag)
+    keep = d <= assignment.guaranteed_radius + EPS
+    i, j, d = i[keep], j[keep], d[keep]
+    return _wedge_edges(i, j, d, coords, turn, assignment.alpha)[:2]
 
 
 def certify_groups(
     points: Sequence[Point], assignment: OrientationAssignment, groups: Groups
 ) -> bool:
     """True when the edges of ``_certificate_edges`` alone connect the points
-    strongly. They are edges of the communication graph at the assignment's
-    radius, so True proves that graph strongly connected; False proves
-    nothing, and the dense ``is_strongly_connected_at`` has to decide."""
-    n = len(points)
-    out = [0] * n
-    into = [0] * n
-    a, b = _certificate_edges(points, assignment, groups)
-    for u, v in zip(a.tolist(), b.tolist()):
-        out[u] |= 1 << v
-        into[v] |= 1 << u
-    full = (1 << n) - 1
-    return _reach(out, 0) == full and _reach(into, 0) == full
+    strongly (``_edges_strongly_connected``). They are edges of the
+    communication graph at the assignment's radius, so True proves that graph
+    strongly connected. Both constructions' proofs use only such pairs, within
+    two group edges, so on their outputs False means the proof failed."""
+    return _edges_strongly_connected(len(points), *_certificate_edges(points, assignment, groups))
 
 
 def check_construction(
     points: Sequence[Point], assignment: OrientationAssignment, groups: Groups, failure: str
 ) -> OrientationAssignment:
-    """The self-check every construction exits through: the group certificate,
-    else the dense check at the assignment's radius, else
-    ConstructionInvariantViolated(failure). Returns the assignment."""
-    pts = point_set(points)
-    r = assignment.guaranteed_radius
-    if certify_groups(pts, assignment, groups) or is_strongly_connected_at(pts, assignment, r):
-        return assignment
-    raise ConstructionInvariantViolated(failure)
+    """The self-check every construction exits through: returns the assignment
+    when ``certify_groups`` proves it, else raises
+    ConstructionInvariantViolated(failure). No other check decides."""
+    if not certify_groups(points, assignment, groups):
+        raise ConstructionInvariantViolated(failure)
+    return assignment
 
 
 def _bottleneck_level(w: np.ndarray) -> float:

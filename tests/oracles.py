@@ -17,7 +17,9 @@ every pair in its first round, and the candidate count of the grid stencil
 that cells no smaller than the reach use. The same binary search over
 ``feasible_by_bruteforce`` gives the exact optimum radius over all
 orientations, and ``mutual_reach_components`` groups the BFS reachability
-into strongly connected components.
+into strongly connected components. Two are views the library no longer
+offers: ``comm_matrix``, a communication graph's n x n adjacency matrix,
+and ``strong_components``, its components as bitmasks.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ from sectornet.topology import (
 )
 from sectornet.verifier import (
     _BLOCK,
+    CommGraph,
     _bottleneck_level,
     _complex,
     _coverage_masks,
     _id_arrays,
     _masks_strongly_connected,
     _wedge_rule,
+    component_labels,
     feasible_by_bruteforce,
     is_strongly_connected_at,
 )
@@ -153,6 +157,24 @@ def mutual_reach_components(n: int, out_edges: Dict[int, Iterable[int]]) -> List
         if c not in components:
             components.append(c)
     return components
+
+
+def comm_matrix(g: CommGraph) -> np.ndarray:
+    """The boolean n x n adjacency matrix of a communication graph, built
+    from its ``edges`` on either form."""
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[g.edges] = True
+    return adj
+
+
+def strong_components(g: CommGraph) -> List[int]:
+    """The strongly connected components of g, one bitmask of nodes each, in
+    the order ``component_labels`` numbers them."""
+    label = component_labels(g)
+    masks = [0] * (max(label, default=-1) + 1)
+    for v, c in enumerate(label):
+        masks[c] |= 1 << v
+    return masks
 
 
 def loop_coverage_mask(

@@ -1,10 +1,11 @@
 """The group certificate the constructions check themselves with
 (``verifier.certify_groups``, run by ``verifier.check_construction``): its
 edges are edges of the communication graph, it certifies every construction
-output, and when it fails the dense check decides."""
+output, and when it fails the construction raises; no dense check decides."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from sectornet.verifier import (
     certify_groups,
     strongly_connected,
 )
+from oracles import comm_matrix
 from test_acceptance import suite_instance
 from test_orient90 import collinear_group_instances
+from test_topology import jittered_lattice
 
 PI = math.pi
 # (module, construction, the message it raises when its output is not strong);
@@ -68,15 +71,15 @@ def differential_instances():
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """The assignments the constructions hand to the dense fallback check."""
+    """The names of the dense checks called: a construction makes none."""
     calls = []
-    real_dense = verifier.is_strongly_connected_at
+    for name in ("is_strongly_connected_at", "build_comm_graph"):
+        real = getattr(verifier, name)
+        def counted(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    def dense(points, assignment, r):
-        calls.append(assignment)
-        return real_dense(points, assignment, r)
-
-    monkeypatch.setattr(verifier, "is_strongly_connected_at", dense)
+        monkeypatch.setattr(verifier, name, counted)
     return calls
 
 
@@ -91,19 +94,29 @@ def own_groups(construct, pts):
         verifier.certify_groups = real_certify
 
 
-class TestFallback:
-    @pytest.mark.parametrize("module, construct, _", CONSTRUCTIONS + (SMALL,))
-    def test_failed_certificate_returns_same_theta_through_dense_check(
-        self, monkeypatch, dense_calls, module, construct, _
+# (construction, n, its message): orient_all_90 hands three points to orient_small
+FORCED = [(c, 40, m) for _, c, m in CONSTRUCTIONS] + [
+    (orient180.orient_all_180, 3, CONSTRUCTIONS[0][2]),
+    (orient90.orient_all_90, 3, SMALL[2]),
+    (orient90.orient_small, 3, SMALL[2]),
+]
+
+
+class TestFailedCertificate:
+    @pytest.mark.parametrize(
+        "construct, n, message", FORCED, ids=[f"{c.__name__}-{n}" for c, n, _ in FORCED]
+    )
+    def test_failed_certificate_raises_unchanged_message(
+        self, monkeypatch, dense_calls, construct, n, message
     ):
-        n = 3 if construct is orient90.orient_small else 40
         pts = random_connected_udg(n, 11, math.sqrt(n))
-        expected = construct(pts)
+        construct(pts)
+        # the certificate's edges are built as usual; only its verdict is forced
+        monkeypatch.setattr(verifier, "_edges_strongly_connected", lambda *args: False)
+        with pytest.raises(ConstructionInvariantViolated) as err:
+            construct(pts)
+        assert str(err.value) == message
         assert dense_calls == []
-        monkeypatch.setattr(verifier, "certify_groups", lambda *args: False)
-        got = construct(pts)
-        assert got.theta == expected.theta
-        assert dense_calls == [got]
 
     def test_turned_wedge_raises_unchanged_message(self, monkeypatch, dense_calls):
         # the leftmost point faces straight left, away from every other point
@@ -126,7 +139,7 @@ class TestFallback:
             with pytest.raises(ConstructionInvariantViolated) as err:
                 construct(pts)
             assert str(err.value) == message
-        assert len(dense_calls) == 2
+        assert dense_calls == []
 
     def test_turned_small_wedge_raises_unchanged_message(self, monkeypatch, dense_calls):
         # one of two points faces straight away from the other
@@ -139,7 +152,7 @@ class TestFallback:
         with pytest.raises(ConstructionInvariantViolated) as err:
             construct(pts)
         assert str(err.value) == message
-        assert len(dense_calls) == 1
+        assert dense_calls == []
 
 
 def test_certificate_passes_and_keeps_only_graph_edges(dense_calls):
@@ -148,7 +161,7 @@ def test_certificate_passes_and_keeps_only_graph_edges(dense_calls):
             assignment, groups = own_groups(construct, pts)
             assert certify_groups(pts, assignment, groups), name
             a, b = _certificate_edges(pts, assignment, groups)
-            assert build_comm_graph(pts, assignment).adj[a, b].all(), name
+            assert comm_matrix(build_comm_graph(pts, assignment))[a, b].all(), name
     assert dense_calls == []
 
 
@@ -172,6 +185,40 @@ def test_certified_strong_implies_graph_strong(seed, aperture, radius, spread, d
     )
     graph = build_comm_graph(pts, assignment)
     a, b = _certificate_edges(pts, assignment, groups)
-    assert graph.adj[a, b].all()
+    assert comm_matrix(graph)[a, b].all()
     if certify_groups(pts, assignment, groups):
         assert strongly_connected(graph)
+
+
+@pytest.mark.parametrize("construct", [c for _, c, _ in CONSTRUCTIONS])
+def test_certificate_peak_memory_is_linear_in_nodes_and_edges(construct):
+    # a 200 x 200 jittered lattice: the certificate holds the pair arrays of
+    # one pass and its sparse rows, and no n-bit row per node
+    pts = jittered_lattice(200, 0)
+    assignment, groups = own_groups(construct, pts)
+    edges = len(_certificate_edges(pts, assignment, groups)[0])
+    tracemalloc.start()
+    try:
+        strong = certify_groups(pts, assignment, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert strong and edges > 5 * len(pts)
+    assert peak < 300 * (len(pts) + edges)
+
+
+@pytest.mark.parametrize("construct", [c for _, c, _ in CONSTRUCTIONS])
+def test_failed_certificate_builds_no_n_by_n_array(monkeypatch, construct):
+    # a 100 x 100 jittered lattice whose certificate is forced to fail: the
+    # construction raises, and its peak stays below half of one boolean
+    # n x n matrix (n**2 bytes)
+    pts = jittered_lattice(100, 0)
+    monkeypatch.setattr(verifier, "_edges_strongly_connected", lambda *args: False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionInvariantViolated):
+            construct(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(pts) ** 2 / 2

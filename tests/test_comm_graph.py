@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import bfs_strongly_connected, mutual_reach_components
+from oracles import bfs_strongly_connected, comm_matrix, mutual_reach_components
 from sectornet import instances, verifier
 from sectornet.geometry import EPS, Point
 from sectornet.orient180 import orient_all_180
@@ -44,14 +44,14 @@ def edge_set(src, dst):
 
 def same_graph(pts, a, r):
     """build_comm_graph at r against the matrix route: the same edges, each
-    once, the same ``adj`` and ``out_edges`` views, and a strong-connectivity
-    verdict that matches the per-start BFS oracle. Returns whether the grid
-    route was taken."""
+    once, the same ``comm_matrix`` and ``out_edges``, and a
+    strong-connectivity verdict that matches the per-start BFS oracle.
+    Returns whether the grid route was taken."""
     g, m = build_comm_graph(pts, a, r_override=r), matrix_route(pts, a, r)
     src, dst = g.edges
-    assert len(src) == np.count_nonzero(m.adj)
-    assert edge_set(src, dst) == edge_set(*np.nonzero(m.adj))
-    assert np.array_equal(g.adj, m.adj)
+    assert len(src) == np.count_nonzero(m.matrix)
+    assert edge_set(src, dst) == edge_set(*np.nonzero(m.matrix))
+    assert np.array_equal(comm_matrix(g), m.matrix)
     assert g.out_edges == m.out_edges
     assert strongly_connected(g) == strongly_connected(m) == bfs_strongly_connected(len(pts), m.out_edges)
     return g.matrix is None

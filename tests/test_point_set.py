@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from oracles import comm_matrix
 from sectornet import fourpoint, orient90, orient180, topology, verifier
+from sectornet.errors import ConstructionInvariantViolated
 from sectornet.geometry import Point
 from sectornet.instances import random_connected_udg
 from sectornet.orient180 import orient_all_180
@@ -53,7 +55,7 @@ def outputs(pts):
     out = [bounded_degree_mst(pts).edges()]
     for orient in (orient_all_180, orient_all_90):
         a = orient(pts)
-        out += [a.theta, a.diagnostics, min_strong_radius(pts, a), build_comm_graph(pts, a).adj.tolist()]
+        out += [a.theta, a.diagnostics, min_strong_radius(pts, a), comm_matrix(build_comm_graph(pts, a)).tolist()]
     if len(pts) <= 3:
         out.append(orient_small(pts).theta)
     return out
@@ -114,9 +116,19 @@ def test_one_call_converts_the_points_once(conversions, entry, pts):
     assert (conversions["sorts"], conversions["arrays"]) == (2, 2)
 
 
-@pytest.mark.parametrize("orient", [orient_all_180, orient_all_90])
-def test_the_dense_fallback_reuses_the_set(conversions, monkeypatch, orient):
-    monkeypatch.setattr(verifier, "certify_groups", lambda *args: False)
-    conversions["n"] = len(TREE)
-    orient(TREE[::-1])
+BLOB40 = random_connected_udg(40, 11, math.sqrt(40))
+FAILING = [(orient, pts) for pts in (BLOB40, TRIPLE) for orient in (orient_all_180, orient_all_90)]
+FAILING.append((orient_small, TRIPLE))
+
+
+@pytest.mark.parametrize(
+    "orient, pts", FAILING, ids=[f"{orient.__name__}-{len(pts)}" for orient, pts in FAILING]
+)
+def test_a_failed_certificate_converts_the_set_once(conversions, monkeypatch, orient, pts):
+    # the certificate builds its edges from the construction's set and its
+    # verdict is forced; the construction raises with no second conversion
+    monkeypatch.setattr(verifier, "_edges_strongly_connected", lambda *args: False)
+    conversions["n"] = len(pts)
+    with pytest.raises(ConstructionInvariantViolated):
+        orient(pts[::-1])
     assert (conversions["sorts"], conversions["arrays"]) == (1, 1)

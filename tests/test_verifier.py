@@ -12,10 +12,12 @@ from oracles import (
     all_masks_feasible,
     bfs_strongly_connected,
     binary_search_min_strong_radius,
+    comm_matrix,
     exact_min_radius,
     hypot_min_strong_radius,
     mutual_reach_components,
     sampled_uncovered_point,
+    strong_components,
 )
 from sectornet import verifier
 from sectornet.errors import MissingOrientation, TooManyPoints
@@ -38,7 +40,6 @@ from sectornet.verifier import (
     feasible_by_bruteforce,
     is_strongly_connected_at,
     min_strong_radius,
-    strong_components,
     strongly_connected,
 )
 from test_topology import OFFSETS, jittered_lattice
@@ -235,11 +236,11 @@ class TestReachMatchesReferences:
             pts = random_connected_udg(n, seed, max(1.0, math.sqrt(n)))
             for a in (orient_all_180(pts), orient_all_90(pts)):
                 r = min_strong_radius(pts, a)
-                assert agree(build_comm_graph(pts, a, r_override=r).adj)
+                assert agree(comm_matrix(build_comm_graph(pts, a, r_override=r)))
                 dists = np.unique([p.dist(q) for p in pts for q in pts if p.id < q.id])
                 below = dists[dists < r]
                 if len(below):
-                    assert not agree(build_comm_graph(pts, a, r_override=float(below[-1])).adj)
+                    assert not agree(comm_matrix(build_comm_graph(pts, a, r_override=float(below[-1]))))
                     checked += 1
         assert checked >= 30
 
@@ -694,11 +695,11 @@ class TestExactBand:
         pts, a, lo, hi = two_columns()
         assert lo + EPS < 1.0 <= hi + EPS < 1.0 + 2.0**-43
         assert hypot_min_strong_radius(pts, a) == hi
-        graph = build_comm_graph(pts, a).adj
+        graph = comm_matrix(build_comm_graph(pts, a))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verifier, "_abs", skewed_abs(1.0, 0.9 * verifier._TOL))
             assert self.same(pts, a) == (hi, 4)
-            assert (build_comm_graph(pts, a).adj == graph).all()
+            assert (comm_matrix(build_comm_graph(pts, a)) == graph).all()
 
     def test_band_is_small(self):
         # np.hypot runs on a few pairs, not on a matrix

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fold_wedge_rule, loop_coverage_mask
+from oracles import comm_matrix, fold_wedge_rule, loop_coverage_mask
 from sectornet import verifier
 from sectornet.fourpoint import QUARTER, _search_grid
 from sectornet.geometry import EPS, Point, Wedge, point_in_wedge
@@ -249,9 +249,11 @@ class TestRotatedRuleMatchesFold:
         assert inside[alpha[:, 0] == 2 * PI].all()
 
     def test_wedge_edges_and_their_distances(self, label, coords, theta):
+        # each pair is measured once, and both directions take its distance
         i, j = np.triu_indices(len(coords), k=1)
+        d = np.hypot(*(coords[j] - coords[i]).T)
         for alpha in (PI / 2, PI):
-            a, b, dist = _wedge_edges(i, j, coords, _turn(theta), alpha)
+            a, b, dist = _wedge_edges(i, j, d, coords, _turn(theta), alpha)
             fa, fb = np.concatenate([i, j]), np.concatenate([j, i])
             fdist, finside = fold_wedge_rule(coords[fa], theta[fa], alpha, coords[fb])
             assert np.array_equal(a, fa[finside]) and np.array_equal(b, fb[finside])
@@ -325,6 +327,6 @@ def test_brute_force_witness_passes_and_graph_rows_match_masks(coords, alpha, r)
         assignment = OrientationAssignment(
             alpha=alpha, theta={p.id: 0.7 * p.id for p in pts}, guaranteed_radius=r
         )
-    rows = _row_masks(build_comm_graph(pts, assignment).adj)
+    rows = _row_masks(comm_matrix(build_comm_graph(pts, assignment)))
     for i, p in enumerate(pts):
         assert rows[i] == _coverage_masks(pts, i, [assignment.theta[p.id]], alpha, r)[0]
